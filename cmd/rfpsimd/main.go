@@ -12,14 +12,12 @@
 //
 //	rfpsimd [-addr :8080] [-workers N] [-queue N] [-tenant-queue N]
 //	        [-cache N] [-cache-bytes N] [-cache-dir DIR] [-cache-max-bytes N]
-//	        [-self URL] [-peers URL,URL,...] [-peer-timeout 2s]
 //	        [-timeout 5m] [-maxuops N] [-drain 30s] [-http-timeout 2m]
 //	        [-log-format text|json] [-log-level info] [-pprof]
 //	        [-profile-dir DIR]
 //
-// -cache-dir enables the persistent disk result cache (survives
-// restarts); -peers/-self enable peer cache fill over a consistent-hash
-// ring. See docs/fabric.md.
+// -cache-dir enables the persistent disk result cache, which survives
+// restarts. See docs/fabric.md.
 //
 // The daemon also serves an embedded browser console at /console/ —
 // submit jobs, upload traces, watch queue and cache state live, render
@@ -34,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,9 +60,6 @@ func main() {
 		tenantQueue = flag.Int("tenant-queue", 0, "per-tenant queued-job bound before 429s (0 = -queue)")
 		cacheDir    = flag.String("cache-dir", "", "persistent disk result cache directory (empty = disabled)")
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "disk cache size cap before LRU eviction (0 = 1 GiB)")
-		self        = flag.String("self", "", "this daemon's base URL as peers reach it (required with -peers)")
-		peersFlag   = flag.String("peers", "", "comma-separated peer base URLs forming the result fabric ring")
-		peerTimeout = flag.Duration("peer-timeout", 0, "per-request deadline for peer cache fills (0 = 2s)")
 	)
 	flag.Parse()
 
@@ -82,17 +76,6 @@ func main() {
 		}
 	}
 
-	var peers []string
-	for _, p := range strings.Split(*peersFlag, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	if len(peers) > 0 && *self == "" {
-		fmt.Fprintln(os.Stderr, "rfpsimd: -peers requires -self (this daemon's own base URL)")
-		os.Exit(2)
-	}
-
 	svc, err := service.New(service.Options{
 		Workers:          *workers,
 		QueueDepth:       *queue,
@@ -103,14 +86,7 @@ func main() {
 		DefaultTimeout:   *timeout,
 		Logger:           logger,
 		CPUProfileDir:    *profileDir,
-		Fabric: fabric.Options{
-			Dir:         *cacheDir,
-			MaxBytes:    *cacheMaxB,
-			Self:        *self,
-			Peers:       peers,
-			PeerTimeout: *peerTimeout,
-			Logger:      logger,
-		},
+		Fabric:           fabric.Options{Dir: *cacheDir, MaxBytes: *cacheMaxB},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rfpsimd: %v\n", err)

@@ -69,8 +69,6 @@ func main() {
 		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		dryRun      = flag.Bool("dry-run", false, "expand and print the unit grid without running it")
-		hedge       = flag.Bool("hedge", false, "race a speculative duplicate attempt on a second endpoint once a unit exceeds the observed p95 latency")
-		hedgeMin    = flag.Duration("hedge-min", 0, "floor on the hedge trigger delay (0 = 250ms)")
 		tracesFlag  = flag.String("traces", "", "comma-separated .rfpt files to register before the sweep, enabling trace:<sha256> workload entries (loaded into the in-process store, or uploaded to every -endpoints daemon)")
 	)
 	flag.Parse()
@@ -133,10 +131,8 @@ func main() {
 			fatal(err)
 		}
 		backend, err = sweep.NewHTTPBackend(urls, sweep.HTTPBackendOptions{
-			MaxAttempts:   *retries,
-			Metrics:       m,
-			Hedge:         *hedge,
-			HedgeMinDelay: *hedgeMin,
+			MaxAttempts: *retries,
+			Metrics:     m,
 		})
 		if err != nil {
 			fatal(err)

@@ -420,13 +420,29 @@ func openXZ(path string) (io.ReadCloser, error) {
 type xzPipe struct {
 	cmd *exec.Cmd
 	out io.ReadCloser
+	eof bool // the decompressed stream was read to its end
 }
 
 // Read implements io.Reader over the decompressed stream.
-func (p *xzPipe) Read(b []byte) (int, error) { return p.out.Read(b) }
+func (p *xzPipe) Read(b []byte) (int, error) {
+	n, err := p.out.Read(b)
+	if err == io.EOF {
+		p.eof = true
+	}
+	return n, err
+}
 
-// Close implements io.Closer.
+// Close implements io.Closer. After a read to EOF it reports xz's exit
+// status, so a corrupt or truncated file is an error. A caller that stops
+// early does not want the rest of the stream: xz is killed and reaped,
+// and the signal it dies of is not an error.
 func (p *xzPipe) Close() error {
+	if !p.eof {
+		p.cmd.Process.Kill()
+		p.out.Close()
+		p.cmd.Wait()
+		return nil
+	}
 	p.out.Close()
 	return p.cmd.Wait()
 }

@@ -309,3 +309,67 @@ func TestOpenFileSniffing(t *testing.T) {
 		t.Fatal("xz file did not round-trip")
 	}
 }
+
+// TestOpenFileXZClose pins the xz pipe's Close contract: a caller that
+// stops before EOF (tracegen -from-champsim -n) closes cleanly even though
+// xz dies writing into the closed pipe, while a caller that reads to EOF
+// still sees xz's exit status, so a corrupt file errors.
+func TestOpenFileXZClose(t *testing.T) {
+	if _, err := exec.LookPath("xz"); err != nil {
+		t.Skip("xz tool not on PATH")
+	}
+	dir := t.TempDir()
+	// 384 KB decompressed: far more than a pipe buffer, so xz is still
+	// blocked writing when the early Close lands.
+	raw := encodeRecords(fixtureRecords())
+	cmd := exec.Command("xz", "-c")
+	cmd.Stdin = bytes.NewReader(raw)
+	packed, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("xz compress: %v", err)
+	}
+	good := filepath.Join(dir, "good.champsim.xz")
+	bad := filepath.Join(dir, "truncated.champsim.xz")
+	if err := os.WriteFile(good, packed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, packed[:len(packed)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := champsim.OpenFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, champsim.RecordBytes)
+	if _, err := io.ReadFull(f, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Errorf("Close after one record = %v, want nil", err)
+	}
+
+	f, err = champsim.OpenFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Errorf("Close after a full read = %v, want nil", err)
+	}
+	if !bytes.Equal(got, raw) {
+		t.Error("xz stream did not round-trip")
+	}
+
+	f, err = champsim.OpenFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, f)
+	if err := f.Close(); err == nil {
+		t.Error("Close after reading a truncated xz file = nil, want xz's exit error")
+	}
+}

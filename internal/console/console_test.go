@@ -45,7 +45,7 @@ func bootDaemon(t *testing.T, cacheDir string) *daemon {
 	svc, err := service.New(service.Options{
 		Workers: 2,
 		Logger:  logger,
-		Fabric:  fabric.Options{Dir: cacheDir, Logger: logger},
+		Fabric:  fabric.Options{Dir: cacheDir},
 	})
 	if err != nil {
 		t.Fatal(err)

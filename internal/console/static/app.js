@@ -42,10 +42,8 @@ async function refreshStatus() {
     );
     if (st.fabric) {
       box.append(
-        tile("ring peers", st.fabric.ring_peers),
         tile("disk entries", st.fabric.disk_entries),
         tile("disk hits", st.fabric.disk_hits),
-        tile("peer hits", st.fabric.peer_hits),
       );
     }
     if (st.draining) box.append(tile("state", "draining", "warn"));

@@ -198,7 +198,7 @@ type Result struct {
 	// Text is the rendered report.
 	Text string
 	// Metrics holds headline numbers keyed by name (fractions, not
-	// percentages), for tests and EXPERIMENTS.md.
+	// percentages), for tests and docs/experiments.md.
 	Metrics map[string]float64
 }
 

@@ -28,9 +28,9 @@ const entryMagic = "rfpfab1"
 // refused (bodies are one marshalled stats block, a few KB).
 const maxDiskEntryBytes = 64 << 20
 
-// DiskCache is the persistent tier of the result fabric: a
-// content-addressed store of response bodies under a sharded directory
-// tree (dir/<addr[:2]>/<addr>), written atomically via same-directory
+// DiskCache is the persistent result tier: a content-addressed store of
+// response bodies under a sharded directory tree
+// (dir/<addr[:2]>/<addr>), written atomically via same-directory
 // rename so a crash mid-write never leaves a half-entry under its final
 // name. A byte-capped LRU janitor evicts the least-recently-used entries
 // inline on Put; recency survives restarts approximately via file mtimes
@@ -93,7 +93,7 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 			continue
 		}
 		for _, f := range files {
-			if f.IsDir() || !validAddr(f.Name()) {
+			if f.IsDir() || !ValidAddr(f.Name()) {
 				// Leftover tmp files from a crashed write are garbage;
 				// sweep them now.
 				if !f.IsDir() {
@@ -122,22 +122,6 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	return c, nil
 }
 
-// validAddr reports whether s looks like a content address: 64 lowercase
-// hex characters. Everything entering a file path is gated on this, so a
-// hostile addr ("../../etc/passwd") can never escape the cache tree.
-func validAddr(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 func (c *DiskCache) path(addr string) string {
 	return filepath.Join(c.dir, addr[:2], addr)
 }
@@ -146,7 +130,7 @@ func (c *DiskCache) path(addr string) string {
 // and digest. Corrupt or truncated entries are deleted and reported as a
 // miss — the caller re-simulates instead of serving garbage.
 func (c *DiskCache) Get(addr string) ([]byte, bool) {
-	if !validAddr(addr) {
+	if !ValidAddr(addr) {
 		return nil, false
 	}
 	c.mu.Lock()
@@ -210,7 +194,7 @@ func decodeEntry(raw []byte) ([]byte, bool) {
 // racing identical Put is harmless — both bodies are byte-identical by
 // the determinism contract.
 func (c *DiskCache) Put(addr string, body []byte) error {
-	if !validAddr(addr) {
+	if !ValidAddr(addr) {
 		return fmt.Errorf("fabric: invalid content address %q", addr)
 	}
 	if len(body) > maxDiskEntryBytes {

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +11,12 @@ import (
 )
 
 func body(i int) []byte { return []byte(fmt.Sprintf(`{"result":%d}`, i)) }
+
+// addrFor makes a deterministic content-address-shaped key.
+func addrFor(i int) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("addr-%d", i)))
+	return hex.EncodeToString(sum[:])
+}
 
 // TestDiskCacheRoundTripAndRestart pins the persistence contract: a body
 // put under an address is returned byte-identically, including by a fresh

@@ -1,20 +1,13 @@
-// Package fabric is the distributed result fabric shared by the rfpsimd
-// fleet (docs/fabric.md). Every simulation result is a deterministic pure
-// function of its content address, which makes results location- and
-// time-independent: a body computed by any daemon, any time, can be served
-// byte-identically by every other daemon. The fabric exploits that with
-// three tiers behind each daemon's in-memory cache:
+// Package fabric holds the result tiers behind rfpsimd's in-memory cache
+// (docs/fabric.md). Every simulation result is a deterministic pure
+// function of its content address, so a body computed once can be served
+// byte-identically forever. The package provides the two tiers that
+// exploit that:
 //
 //   - a persistent, content-addressed disk cache (DiskCache) that survives
 //     restarts;
-//   - a consistent-hash ring (Ring) assigning every content address a
-//     shard owner, so a local miss asks exactly one peer — the owner —
-//     via GET /v1/result/{addr} before simulating, and locally computed
-//     results are written back to the owner so the fleet converges on
-//     one well-known location per address;
 //   - single-flight dedup (FlightGroup), so concurrent identical requests
-//     — including peer GETs landing while the owner computes — simulate
-//     once.
+//     simulate once.
 //
 // Consistency is trivial by construction: entries are immutable (one
 // address, one byte string, forever), so there is nothing to invalidate
@@ -22,315 +15,31 @@
 // locally", never to a wrong answer.
 package fabric
 
-import (
-	"context"
-	"fmt"
-	"io"
-	"log/slog"
-	"net/http"
-	"strings"
-	"sync"
-	"time"
-)
+import "time"
 
 // timeNow is indirected for tests that need deterministic mtimes.
 var timeNow = time.Now
 
-// Options configures a daemon's view of the fabric.
+// Options configures a daemon's disk tier.
 type Options struct {
 	// Dir roots the persistent disk cache ("" = no disk tier).
 	Dir string
 	// MaxBytes caps the disk cache (0 = DefaultDiskMaxBytes, 1 GiB).
 	MaxBytes int64
-	// Self is this daemon's advertised base URL; it identifies us on the
-	// ring so we never "peer-fetch" from ourselves.
-	Self string
-	// Peers lists every fleet member's base URL (including Self; it is
-	// added if missing). Empty disables the peer tier.
-	Peers []string
-	// PeerTimeout bounds one owner lookup or write-back (0 = 2s).
-	PeerTimeout time.Duration
-	// Client is the HTTP client for peer traffic (nil = a fresh client).
-	Client *http.Client
-	// Logger receives fabric diagnostics (nil = slog.Default()).
-	Logger *slog.Logger
 }
 
-func (o Options) peerTimeout() time.Duration {
-	if o.PeerTimeout > 0 {
-		return o.PeerTimeout
+// ValidAddr reports whether s looks like a content address: 64 lowercase
+// hex characters. Everything entering a file path is gated on this, so a
+// hostile addr ("../../etc/passwd") can never escape the cache tree.
+func ValidAddr(s string) bool {
+	if len(s) != 64 {
+		return false
 	}
-	return 2 * time.Second
-}
-
-// Enabled reports whether the options ask for any fabric tier at all.
-func (o Options) Enabled() bool { return o.Dir != "" || len(o.Peers) > 0 }
-
-// peerHealth is one ring member's failure state. A peer that times out or
-// errors goes on a fixed cooldown during which owner lookups skip straight
-// to local simulation — a dead owner must not add its timeout to every
-// miss.
-type peerHealth struct {
-	mu        sync.Mutex
-	failures  int
-	coolUntil time.Time
-}
-
-// peerCooldown grows linearly in consecutive failures, capped at 30s: a
-// single blip costs 2s of skipping, a dead peer settles at one probe per
-// 30s.
-func (p *peerHealth) markFailure() {
-	p.mu.Lock()
-	p.failures++
-	d := time.Duration(p.failures) * 2 * time.Second
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	p.coolUntil = timeNow().Add(d)
-	p.mu.Unlock()
-}
-
-func (p *peerHealth) markSuccess() {
-	p.mu.Lock()
-	p.failures = 0
-	p.coolUntil = time.Time{}
-	p.mu.Unlock()
-}
-
-func (p *peerHealth) cooling() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.coolUntil.After(timeNow())
-}
-
-// Fabric ties the tiers together for one daemon.
-type Fabric struct {
-	opts    Options
-	disk    *DiskCache
-	ring    *Ring
-	client  *http.Client
-	logger  *slog.Logger
-	metrics Metrics
-	health  map[string]*peerHealth
-	pushWG  sync.WaitGroup
-}
-
-// New opens the configured tiers. An unopenable cache directory is an
-// error (the operator asked for persistence and did not get it); an empty
-// Options yields a fabric whose every lookup misses, which is valid but
-// pointless — callers usually gate on Options.Enabled first.
-func New(opts Options) (*Fabric, error) {
-	f := &Fabric{
-		opts:   opts,
-		client: opts.Client,
-		logger: opts.Logger,
-		health: make(map[string]*peerHealth),
-	}
-	if f.client == nil {
-		f.client = &http.Client{}
-	}
-	if f.logger == nil {
-		f.logger = slog.Default()
-	}
-	if opts.Dir != "" {
-		d, err := OpenDiskCache(opts.Dir, opts.MaxBytes)
-		if err != nil {
-			return nil, err
-		}
-		f.disk = d
-	}
-	nodes := opts.Peers
-	if len(nodes) > 0 && opts.Self != "" {
-		found := false
-		for _, n := range nodes {
-			if normalizeURL(n) == normalizeURL(opts.Self) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			nodes = append(append([]string{}, nodes...), opts.Self)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
 		}
 	}
-	normalized := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		normalized = append(normalized, normalizeURL(n))
-	}
-	f.ring = NewRing(normalized, 0)
-	for _, n := range f.ring.Nodes() {
-		f.health[n] = &peerHealth{}
-	}
-	f.metrics.f = f
-	return f, nil
-}
-
-// normalizeURL trims whitespace and a trailing slash so "-peers http://a/"
-// and "-self http://a" identify the same ring member.
-func normalizeURL(u string) string { return strings.TrimSuffix(strings.TrimSpace(u), "/") }
-
-// Metrics returns the fabric's collector for registry registration.
-func (f *Fabric) Metrics() *Metrics { return &f.metrics }
-
-// Ring exposes the hash ring (healthz reporting, tests).
-func (f *Fabric) Ring() *Ring { return f.ring }
-
-// HasDisk reports whether the persistent tier is configured.
-func (f *Fabric) HasDisk() bool { return f.disk != nil }
-
-// Close waits for in-flight write-backs to finish (each is bounded by
-// PeerTimeout, so this terminates promptly).
-func (f *Fabric) Close() { f.pushWG.Wait() }
-
-// DiskGet consults the persistent tier.
-func (f *Fabric) DiskGet(addr string) ([]byte, bool) {
-	if f.disk == nil {
-		return nil, false
-	}
-	return f.disk.Get(addr)
-}
-
-// DiskPut stores a body in the persistent tier (best effort: a full disk
-// degrades the daemon to memory-only caching, it does not fail requests).
-func (f *Fabric) DiskPut(addr string, body []byte) {
-	if f.disk == nil {
-		return
-	}
-	if err := f.disk.Put(addr, body); err != nil {
-		f.logger.Warn("fabric: disk cache write failed", "addr", addr[:12], "err", err.Error())
-	}
-}
-
-// Owner returns the ring owner for addr and whether that owner is a
-// remote peer (false when the ring is empty, we own the shard, or no self
-// identity was configured).
-func (f *Fabric) Owner(addr string) (string, bool) {
-	if f.ring.Len() < 2 || f.opts.Self == "" {
-		return "", false
-	}
-	owner := f.ring.Owner(addr)
-	if owner == "" || owner == normalizeURL(f.opts.Self) {
-		return "", false
-	}
-	return owner, true
-}
-
-// FetchFromOwner asks addr's shard owner for the body before simulating
-// locally. Any failure — owner cooling down, timeout, non-200, bad body —
-// returns miss; the caller simulates. The peer GET's ?wait=1 asks the
-// owner to hold the request briefly if the result is being computed right
-// now, which is what makes concurrent identical requests across the fleet
-// collapse onto one simulation.
-func (f *Fabric) FetchFromOwner(ctx context.Context, addr string) ([]byte, bool) {
-	owner, remote := f.Owner(addr)
-	if !remote {
-		return nil, false
-	}
-	h := f.health[owner]
-	if h != nil && h.cooling() {
-		f.metrics.peerSkipped.Add(1)
-		return nil, false
-	}
-	ctx, cancel := context.WithTimeout(ctx, f.opts.peerTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/result/"+addr+"?wait=1", nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		f.metrics.peerErrors.Add(1)
-		if h != nil {
-			h.markFailure()
-		}
-		return nil, false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxDiskEntryBytes+1))
-	if err != nil || len(body) > maxDiskEntryBytes {
-		f.metrics.peerErrors.Add(1)
-		if h != nil {
-			h.markFailure()
-		}
-		return nil, false
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if h != nil {
-			h.markSuccess()
-		}
-		f.metrics.peerHits.Add(1)
-		return body, true
-	case http.StatusNotFound:
-		if h != nil {
-			h.markSuccess() // the peer is alive, it just has nothing
-		}
-		f.metrics.peerMisses.Add(1)
-		return nil, false
-	default:
-		f.metrics.peerErrors.Add(1)
-		if h != nil {
-			h.markFailure()
-		}
-		return nil, false
-	}
-}
-
-// PushToOwner writes a locally computed body back to addr's shard owner,
-// asynchronously and best-effort: the fleet converges on one well-known
-// location per address, but a lost push only costs a future re-simulation.
-func (f *Fabric) PushToOwner(addr string, body []byte) {
-	owner, remote := f.Owner(addr)
-	if !remote {
-		return
-	}
-	h := f.health[owner]
-	if h != nil && h.cooling() {
-		return
-	}
-	f.pushWG.Add(1)
-	go func() {
-		defer f.pushWG.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), f.opts.peerTimeout())
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+"/v1/result/"+addr, strings.NewReader(string(body)))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := f.client.Do(req)
-		if err != nil {
-			f.metrics.pushErrors.Add(1)
-			if h != nil {
-				h.markFailure()
-			}
-			return
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-			f.metrics.pushErrors.Add(1)
-			f.logger.Debug("fabric: owner push rejected", "addr", addr[:12], "owner", owner, "status", resp.StatusCode)
-			return
-		}
-		if h != nil {
-			h.markSuccess()
-		}
-		f.metrics.pushes.Add(1)
-	}()
-}
-
-// MarkInflightServed counts a peer result GET served by waiting on an
-// in-flight computation (the service's /v1/result handler calls it).
-func (f *Fabric) MarkInflightServed() { f.metrics.servedInflight.Add(1) }
-
-// ValidAddr re-exports the address gate for the HTTP handler layer.
-func ValidAddr(addr string) bool { return validAddr(addr) }
-
-// String describes the configured tiers for startup logs.
-func (f *Fabric) String() string {
-	disk := "off"
-	if f.disk != nil {
-		disk = fmt.Sprintf("dir=%s cap=%dB", f.opts.Dir, f.disk.maxBytes)
-	}
-	return fmt.Sprintf("disk(%s) ring(%d peers)", disk, f.ring.Len())
+	return true
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,169 +70,5 @@ func TestFlightWaitRespectsContext(t *testing.T) {
 	defer cancel()
 	if _, err := f.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Wait returned %v, want deadline exceeded", err)
-	}
-}
-
-// newPeerFabric builds a two-member fabric whose "self" is a non-owner
-// for the returned address, with the owner role played by the given test
-// server.
-func newPeerFabric(t *testing.T, owner *httptest.Server, timeout time.Duration) (*Fabric, string) {
-	t.Helper()
-	self := "http://self.invalid:1"
-	f, err := New(Options{
-		Self:        self,
-		Peers:       []string{self, owner.URL},
-		PeerTimeout: timeout,
-		Client:      owner.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find an address the test server owns.
-	for i := 0; i < 10000; i++ {
-		a := addrFor(i)
-		if o, remote := f.Owner(a); remote && o == owner.URL {
-			return f, a
-		}
-	}
-	t.Fatal("no address owned by the peer in 10000 tries")
-	return nil, ""
-}
-
-// TestFetchFromOwnerHitAndMiss covers the peer-fill protocol happy paths.
-func TestFetchFromOwnerHitAndMiss(t *testing.T) {
-	want := body(42)
-	var status atomic.Int64
-	status.Store(http.StatusOK)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("wait") != "1" {
-			t.Errorf("peer GET missing wait=1: %s", r.URL)
-		}
-		code := int(status.Load())
-		w.WriteHeader(code)
-		if code == http.StatusOK {
-			w.Write(want)
-		}
-	}))
-	defer srv.Close()
-
-	f, addr := newPeerFabric(t, srv, time.Second)
-	got, ok := f.FetchFromOwner(context.Background(), addr)
-	if !ok || !bytes.Equal(got, want) {
-		t.Fatalf("fetch = %q, %v", got, ok)
-	}
-	if f.metrics.peerHits.Load() != 1 {
-		t.Errorf("peer hits = %d, want 1", f.metrics.peerHits.Load())
-	}
-
-	status.Store(http.StatusNotFound)
-	if _, ok := f.FetchFromOwner(context.Background(), addr); ok {
-		t.Fatal("404 reported as a hit")
-	}
-	if f.metrics.peerMisses.Load() != 1 {
-		t.Errorf("peer misses = %d, want 1", f.metrics.peerMisses.Load())
-	}
-}
-
-// TestFetchFromOwnerTimeoutFallsBack pins a fabric edge case from the
-// issue: a hung owner must cost at most PeerTimeout, return a miss (the
-// caller then simulates locally), and put the owner on cooldown so the
-// next miss skips it entirely.
-func TestFetchFromOwnerTimeoutFallsBack(t *testing.T) {
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-	}))
-	defer srv.Close()
-	defer close(release)
-
-	f, addr := newPeerFabric(t, srv, 50*time.Millisecond)
-	start := time.Now()
-	_, ok := f.FetchFromOwner(context.Background(), addr)
-	elapsed := time.Since(start)
-	if ok {
-		t.Fatal("timed-out fetch reported a hit")
-	}
-	if elapsed > time.Second {
-		t.Fatalf("fetch took %s, want ~50ms timeout", elapsed)
-	}
-	if f.metrics.peerErrors.Load() != 1 {
-		t.Errorf("peer errors = %d, want 1", f.metrics.peerErrors.Load())
-	}
-	// The owner is now cooling: the next fetch skips without any request.
-	if _, ok := f.FetchFromOwner(context.Background(), addr); ok {
-		t.Fatal("cooling owner reported a hit")
-	}
-	if f.metrics.peerSkipped.Load() != 1 {
-		t.Errorf("peer skipped = %d, want 1", f.metrics.peerSkipped.Load())
-	}
-}
-
-// TestPushToOwner pins the write-back path: a computed body lands on the
-// owner via PUT, asynchronously, and Close waits for it.
-func TestPushToOwner(t *testing.T) {
-	type put struct {
-		addr string
-		body []byte
-	}
-	got := make(chan put, 1)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPut {
-			t.Errorf("push used %s, want PUT", r.Method)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(r.Body)
-		got <- put{addr: r.URL.Path, body: buf.Bytes()}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-
-	f, addr := newPeerFabric(t, srv, time.Second)
-	f.PushToOwner(addr, body(9))
-	f.Close()
-	select {
-	case p := <-got:
-		if p.addr != "/v1/result/"+addr {
-			t.Errorf("push path = %s", p.addr)
-		}
-		if !bytes.Equal(p.body, body(9)) {
-			t.Errorf("push body = %q", p.body)
-		}
-	default:
-		t.Fatal("Close returned before the push landed")
-	}
-	if f.metrics.pushes.Load() != 1 {
-		t.Errorf("push counter = %d, want 1", f.metrics.pushes.Load())
-	}
-}
-
-// TestOwnerSelfIsLocal: addresses we own never trigger peer traffic.
-func TestOwnerSelfIsLocal(t *testing.T) {
-	self := "http://self:1"
-	f, err := New(Options{Self: self, Peers: []string{self, "http://peer:2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawRemote, sawLocal := false, false
-	for i := 0; i < 200; i++ {
-		if _, remote := f.Owner(addrFor(i)); remote {
-			sawRemote = true
-		} else {
-			sawLocal = true
-		}
-	}
-	if !sawRemote || !sawLocal {
-		t.Fatalf("2-node ring should split ownership; remote=%v local=%v", sawRemote, sawLocal)
-	}
-	// Single-member ring (peers == just self): everything is local.
-	solo, err := New(Options{Self: self, Peers: []string{self}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, remote := solo.Owner(addrFor(1)); remote {
-		t.Error("solo ring produced a remote owner")
 	}
 }

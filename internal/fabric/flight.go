@@ -22,8 +22,8 @@ func (f *Flight) Result() ([]byte, error) { return f.body, f.err }
 
 // FlightGroup deduplicates concurrent identical work by content address
 // (single-flight): the first Join for an address becomes the leader and
-// simulates; later Joins — and peer GETs that land while the owner is
-// computing — wait for the leader's result instead of simulating again.
+// simulates; later Joins wait for the leader's result instead of
+// simulating again.
 type FlightGroup struct {
 	mu sync.Mutex
 	m  map[string]*Flight
@@ -55,17 +55,6 @@ func (g *FlightGroup) Complete(addr string, f *Flight, body []byte, err error) {
 	}
 	g.mu.Unlock()
 	close(f.done)
-}
-
-// Inflight returns the current flight for addr, if any, without joining
-// it. The owner's GET /v1/result handler uses this to let a peer wait for
-// a computation that is already running instead of 404ing it into a
-// duplicate simulation.
-func (g *FlightGroup) Inflight(addr string) (*Flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	f, ok := g.m[addr]
-	return f, ok
 }
 
 // Wait blocks until the flight completes or ctx ends, returning the

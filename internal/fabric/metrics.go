@@ -1,112 +1,54 @@
 package fabric
 
 import (
+	"fmt"
 	"io"
 	"sync/atomic"
 
 	"rfpsim/internal/obs"
 )
 
-// counter is a tiny alias so the cache/client code reads cleanly.
+// counter is a tiny alias so the cache code reads cleanly.
 type counter = atomic.Uint64
 
-// Metrics is the fabric's observability block (obs.Collector). The server
-// registers it in its obs.Registry only when the fabric is enabled, so a
-// fabric-less daemon's /metrics exposition is unchanged.
-type Metrics struct {
-	f *Fabric
-
-	peerHits       counter // peer-fill lookups served by the shard owner
-	peerMisses     counter // owner consulted but had nothing (we simulate)
-	peerErrors     counter // owner unreachable/errored (we simulate)
-	peerSkipped    counter // owner on cooldown, lookup skipped
-	pushes         counter // computed results written back to their owner
-	pushErrors     counter // write-backs that failed (best-effort)
-	servedInflight counter // peer GETs served by joining a running flight
+// WritePrometheus implements obs.Collector; the rfpsimd_fabric_disk_*
+// namespace is documented in docs/fabric.md. The server registers the
+// disk cache only when one is configured, so a disk-less daemon's
+// /metrics exposition is unchanged.
+func (c *DiskCache) WritePrometheus(w io.Writer) {
+	snap := c.Snapshot()
+	obs.Gauge(w, "rfpsimd_fabric_disk_entries", "Entries indexed in the persistent disk cache.", snap.DiskEntries)
+	obs.Gauge(w, "rfpsimd_fabric_disk_bytes", "Total bytes indexed in the persistent disk cache.", snap.DiskBytes)
+	obs.Counter(w, "rfpsimd_fabric_disk_hits_total", "Lookups served from the disk cache.", snap.DiskHits)
+	obs.Counter(w, "rfpsimd_fabric_disk_misses_total", "Disk cache lookups that found nothing usable.", snap.DiskMisses)
+	obs.Counter(w, "rfpsimd_fabric_disk_writes_total", "Entries written to the disk cache.", c.writes.Load())
+	obs.Counter(w, "rfpsimd_fabric_disk_evictions_total", "Entries evicted by the disk cache's byte-cap janitor.", c.evictions.Load())
+	obs.Counter(w, "rfpsimd_fabric_disk_corrupt_total", "Corrupted or truncated disk entries detected (deleted, re-simulated).", c.corrupt.Load())
 }
 
-// WritePrometheus implements obs.Collector; the rfpsimd_fabric_* namespace
-// is documented in docs/fabric.md.
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	var peers, diskEntries int
-	var diskBytes int64
-	var dHits, dMisses, dWrites, dEvict, dCorrupt uint64
-	if m.f != nil {
-		peers = m.f.ring.Len()
-		if d := m.f.disk; d != nil {
-			diskEntries = d.Len()
-			diskBytes = d.Bytes()
-			dHits = d.hits.Load()
-			dMisses = d.misses.Load()
-			dWrites = d.writes.Load()
-			dEvict = d.evictions.Load()
-			dCorrupt = d.corrupt.Load()
-		}
-	}
-	obs.Gauge(w, "rfpsimd_fabric_ring_peers", "Members of the consistent-hash ring (docs/fabric.md).", peers)
-	obs.Gauge(w, "rfpsimd_fabric_disk_entries", "Entries indexed in the persistent disk cache.", diskEntries)
-	obs.Gauge(w, "rfpsimd_fabric_disk_bytes", "Total bytes indexed in the persistent disk cache.", diskBytes)
-	obs.Counter(w, "rfpsimd_fabric_disk_hits_total", "Lookups served from the disk cache.", dHits)
-	obs.Counter(w, "rfpsimd_fabric_disk_misses_total", "Disk cache lookups that found nothing usable.", dMisses)
-	obs.Counter(w, "rfpsimd_fabric_disk_writes_total", "Entries written to the disk cache.", dWrites)
-	obs.Counter(w, "rfpsimd_fabric_disk_evictions_total", "Entries evicted by the disk cache's byte-cap janitor.", dEvict)
-	obs.Counter(w, "rfpsimd_fabric_disk_corrupt_total", "Corrupted or truncated disk entries detected (deleted, re-simulated).", dCorrupt)
-	obs.Counter(w, "rfpsimd_fabric_peer_hits_total", "Local misses served by the shard owner's cache.", m.peerHits.Load())
-	obs.Counter(w, "rfpsimd_fabric_peer_misses_total", "Owner lookups that returned no result (simulated locally).", m.peerMisses.Load())
-	obs.Counter(w, "rfpsimd_fabric_peer_errors_total", "Owner lookups that failed (timeout or transport error).", m.peerErrors.Load())
-	obs.Counter(w, "rfpsimd_fabric_peer_skipped_total", "Owner lookups skipped because the owner was on failure cooldown.", m.peerSkipped.Load())
-	obs.Counter(w, "rfpsimd_fabric_push_total", "Locally computed results pushed to their shard owner.", m.pushes.Load())
-	obs.Counter(w, "rfpsimd_fabric_push_errors_total", "Owner write-backs that failed (best-effort, not retried).", m.pushErrors.Load())
-	obs.Counter(w, "rfpsimd_fabric_inflight_served_total", "Peer result GETs served by waiting on an in-flight computation.", m.servedInflight.Load())
-}
-
-// Snapshot is a point-in-time copy of the fabric's tier state, for
-// embedders that render live fabric health (the rfpsimd console's status
+// Snapshot is a point-in-time copy of the disk tier's state, for
+// embedders that render live cache health (the rfpsimd console's status
 // endpoint) without scraping the Prometheus exposition.
 type Snapshot struct {
-	// RingPeers is the consistent-hash ring membership count.
-	RingPeers int `json:"ring_peers"`
 	// DiskEntries and DiskBytes are the persistent tier's occupancy.
 	DiskEntries int   `json:"disk_entries"`
 	DiskBytes   int64 `json:"disk_bytes"`
 	// DiskHits and DiskMisses are the persistent tier's lookup counters.
 	DiskHits   uint64 `json:"disk_hits"`
 	DiskMisses uint64 `json:"disk_misses"`
-	// PeerHits, PeerMisses and PeerErrors are the owner-lookup counters.
-	PeerHits   uint64 `json:"peer_hits"`
-	PeerMisses uint64 `json:"peer_misses"`
-	PeerErrors uint64 `json:"peer_errors"`
-	// Pushes counts locally computed results written back to their owner.
-	Pushes uint64 `json:"pushes"`
 }
 
 // Snapshot captures the current tier state.
-func (m *Metrics) Snapshot() Snapshot {
-	snap := Snapshot{
-		PeerHits:   m.peerHits.Load(),
-		PeerMisses: m.peerMisses.Load(),
-		PeerErrors: m.peerErrors.Load(),
-		Pushes:     m.pushes.Load(),
+func (c *DiskCache) Snapshot() Snapshot {
+	return Snapshot{
+		DiskEntries: c.Len(),
+		DiskBytes:   c.Bytes(),
+		DiskHits:    c.hits.Load(),
+		DiskMisses:  c.misses.Load(),
 	}
-	if m.f != nil {
-		snap.RingPeers = m.f.ring.Len()
-		if d := m.f.disk; d != nil {
-			snap.DiskEntries = d.Len()
-			snap.DiskBytes = d.Bytes()
-			snap.DiskHits = d.hits.Load()
-			snap.DiskMisses = d.misses.Load()
-		}
-	}
-	return snap
 }
 
-// PeerHits returns the peer-fill hit count (for tests and smoke checks).
-func (m *Metrics) PeerHits() uint64 { return m.peerHits.Load() }
-
-// DiskHits returns the disk-tier hit count (for tests and smoke checks).
-func (m *Metrics) DiskHits() uint64 {
-	if m.f == nil || m.f.disk == nil {
-		return 0
-	}
-	return m.f.disk.hits.Load()
+// String describes the cache for startup logs and /healthz.
+func (c *DiskCache) String() string {
+	return fmt.Sprintf("disk(dir=%s cap=%dB)", c.dir, c.maxBytes)
 }

@@ -286,64 +286,3 @@ func TestTenantQueueBoundIsolates(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestPeerTimeoutFallsBackToLocalSim pins the degradation property at the
-// service layer: when the shard owner for a request hangs, the daemon
-// eats the bounded peer timeout and then simulates locally — the client
-// still gets a correct 200, never an error.
-func TestPeerTimeoutFallsBackToLocalSim(t *testing.T) {
-	release := make(chan struct{})
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-	}))
-	defer hang.Close()
-	defer close(release)
-
-	self := "http://self.invalid:1"
-	fopts := fabric.Options{
-		Self:        self,
-		Peers:       []string{self, hang.URL},
-		PeerTimeout: 50 * time.Millisecond,
-	}
-	svc, ts := newTestServer(t, Options{Workers: 2, Fabric: fopts})
-
-	// Find a request variant whose content address the hanging peer owns.
-	probe, err := fabric.New(fopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var req SimRequest
-	found := false
-	for seeds := 1; seeds <= 32 && !found; seeds++ {
-		r := quickReq()
-		r.Seeds = seeds
-		addr, err := ContentAddress(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, remote := probe.Owner(addr); remote {
-			req, found = r, true
-		}
-	}
-	if !found {
-		t.Fatal("no request variant owned by the peer in 32 tries")
-	}
-
-	start := time.Now()
-	resp, body := postSim(t, ts, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST with hung owner: %d %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get(CacheHeader); got != "miss" {
-		t.Errorf("cache header = %q, want miss (simulated locally)", got)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("request took %s; the peer timeout did not bound the stall", elapsed)
-	}
-	if svc.fabric.Metrics().PeerHits() != 0 {
-		t.Error("hung peer recorded a hit")
-	}
-}

@@ -12,12 +12,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -48,10 +46,9 @@ const (
 	// wall-clock breakdown) on computed — not cache-replayed — responses.
 	TimingsHeader = "X-Rfpsimd-Timings"
 	// CacheHeader reports which tier served a /v1/sim response: "hit"
-	// (this daemon's memory cache), "disk" (the persistent cache),
-	// "peer" (the shard owner's cache), "dedup" (coalesced onto a
-	// concurrent identical request's simulation) or "miss" (simulated
-	// here). The body is byte-identical across all five.
+	// (the memory cache), "disk" (the persistent cache), "dedup"
+	// (coalesced onto a concurrent identical request's simulation) or
+	// "miss" (simulated). The body is byte-identical across all four.
 	CacheHeader = "X-Rfpsimd-Cache"
 	// TenantHeader names the requesting tenant for fair-share admission
 	// (docs/fabric.md). Absent or malformed values fall back to
@@ -92,9 +89,8 @@ type Options struct {
 	// into <dir>/job-<runid>.pprof. The Go runtime supports one CPU
 	// profile at a time, so under a busy pool only some jobs are captured.
 	CPUProfileDir string
-	// Fabric configures the distributed result fabric (persistent disk
-	// cache, peer cache fill over a consistent-hash ring); the zero value
-	// disables both tiers. See docs/fabric.md.
+	// Fabric configures the persistent disk cache; the zero value
+	// disables it. See docs/fabric.md.
 	Fabric fabric.Options
 	// TenantQueueDepth bounds each tenant's admission queue
 	// (0 = QueueDepth): one tenant's burst 429s against its own bound
@@ -102,7 +98,7 @@ type Options struct {
 	TenantQueueDepth int
 	// TraceCacheEntries and TraceCacheBytes bound the uploaded-trace
 	// store's in-memory working set (0 = 64 entries / 256 MiB). With a
-	// fabric disk tier configured, evicted and pre-restart traces keep
+	// disk cache configured, evicted and pre-restart traces keep
 	// resolving from disk (docs/traces.md).
 	TraceCacheEntries int
 	TraceCacheBytes   int64
@@ -298,7 +294,7 @@ type Server struct {
 	wg        sync.WaitGroup
 	metrics   *Metrics
 	cache     *resultCache
-	fabric    *fabric.Fabric // nil when no fabric tier is configured
+	disk      *fabric.DiskCache // nil without Options.Fabric.Dir
 	flights   fabric.FlightGroup
 	traces    *TraceStore
 	logger    *slog.Logger
@@ -311,7 +307,7 @@ type Server struct {
 }
 
 // New starts the worker pool and returns the server. Callers must Close it
-// to drain. It fails only when a configured fabric tier cannot be opened
+// to drain. It fails only when a configured disk cache cannot be opened
 // (e.g. an unwritable -cache-dir).
 func New(opts Options) (*Server, error) {
 	logger := opts.Logger
@@ -337,27 +333,20 @@ func New(opts Options) (*Server, error) {
 			0.0001, 0.001, 0.01, 0.1, 0.5, 1, 5, 10),
 	}
 	s.cache.onEvict = func() { s.metrics.cacheEvictions.Add(1) }
-	if opts.Fabric.Enabled() {
-		fopts := opts.Fabric
-		if fopts.Logger == nil {
-			fopts.Logger = logger
-		}
-		f, err := fabric.New(fopts)
+	var traceTier TraceDiskTier
+	if opts.Fabric.Dir != "" {
+		d, err := fabric.OpenDiskCache(opts.Fabric.Dir, opts.Fabric.MaxBytes)
 		if err != nil {
 			return nil, err
 		}
-		s.fabric = f
-	}
-	var traceTier TraceDiskTier
-	if s.fabric != nil {
-		traceTier = s.fabric
+		s.disk, traceTier = d, d
 	}
 	s.traces = NewTraceStore(opts.TraceCacheEntries, opts.TraceCacheBytes, traceTier)
 	registry.Register(s.metrics)
 	registry.Register(s.jobSecs)
 	registry.Register(s.queueWait)
-	if s.fabric != nil {
-		registry.Register(s.fabric.Metrics())
+	if s.disk != nil {
+		registry.Register(s.disk)
 	}
 	for i := 0; i < opts.workers(); i++ {
 		s.wg.Add(1)
@@ -374,9 +363,9 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Registry() *obs.Registry { return s.registry }
 
 // Close drains the service: no new jobs are accepted, queued and running
-// jobs finish (their waiting handlers get results), then the workers exit
-// and pending fabric write-backs complete. Call http.Server.Shutdown
-// first so no handler is still trying to enqueue.
+// jobs finish (their waiting handlers get results), then the workers
+// exit. Call http.Server.Shutdown first so no handler is still trying to
+// enqueue.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if !s.closed {
@@ -385,9 +374,6 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.fabric != nil {
-		s.fabric.Close()
-	}
 }
 
 // enqueue adds a job to its tenant's queue unless that queue (or the
@@ -486,12 +472,12 @@ func (s *Server) execute(ctx context.Context, rj *resolvedJob) jobResult {
 	}
 	body = append(body, '\n')
 	s.cache.put(rj.key, body)
-	if s.fabric != nil {
-		// Persist locally and converge the fleet: the shard owner gets a
-		// best-effort write-back so any peer's future miss finds the
-		// result in one hop (docs/fabric.md).
-		s.fabric.DiskPut(rj.key, body)
-		s.fabric.PushToOwner(rj.key, body)
+	if s.disk != nil {
+		// Best effort: a full disk degrades the daemon to memory-only
+		// caching, it does not fail requests.
+		if err := s.disk.Put(rj.key, body); err != nil {
+			obs.Logger(ctx).Warn("disk cache write failed", "key", rj.key[:12], "err", err.Error())
+		}
 	}
 	return jobResult{body: body, st: res.Stats, timings: tim}
 }
@@ -537,12 +523,11 @@ func (s *Server) resolveInner(req SimRequest) (*resolvedJob, error) {
 // submits through it, tests seed it).
 func (s *Server) Traces() *TraceStore { return s.traces }
 
-// Handler returns the HTTP API: POST /v1/sim, GET/PUT /v1/result/{addr},
-// POST/GET /v1/traces, GET /v1/workloads, GET /healthz, GET /metrics.
+// Handler returns the HTTP API: POST /v1/sim, POST/GET /v1/traces,
+// GET /v1/traces/{addr}, GET /v1/workloads, GET /healthz, GET /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/sim", s.handleSim)
-	mux.HandleFunc("/v1/result/", s.handleResult)
 	mux.HandleFunc("/v1/traces", s.handleTraces)
 	mux.HandleFunc("/v1/traces/", s.handleTraceByAddr)
 	mux.HandleFunc("/v1/workloads", s.handleWorkloads)
@@ -639,8 +624,8 @@ type DoResult struct {
 	// Body is the deterministic SimResponse JSON (newline-terminated),
 	// byte-identical across serving tiers.
 	Body []byte
-	// Tier reports which tier served the body: "hit", "disk", "dedup",
-	// "peer" or "miss" (the CacheHeader values).
+	// Tier reports which tier served the body: "hit", "disk", "dedup"
+	// or "miss" (the CacheHeader values).
 	Tier string
 	// Timings is the per-stage wall-clock breakdown of a computed
 	// ("miss") result; nil for cache-replayed tiers.
@@ -650,8 +635,8 @@ type DoResult struct {
 }
 
 // Do resolves and executes one request through the full serving path —
-// memory cache, disk tier, single-flight dedup, peer fill, then
-// fair-share admission and simulation — and returns the deterministic
+// memory cache, disk tier, single-flight dedup, then fair-share
+// admission and simulation — and returns the deterministic
 // body with its serving tier. It is the programmatic twin of POST
 // /v1/sim: the HTTP handler and the embedded console both call it, so an
 // in-process submission hits exactly the tiers, metrics and logs an HTTP
@@ -678,8 +663,8 @@ func (s *Server) Do(ctx context.Context, req SimRequest, tenant string) (*DoResu
 		return &DoResult{Body: body, Tier: "hit", Key: rj.key}, nil
 	}
 	// Tier 2: the persistent disk cache (promoted into memory on hit).
-	if s.fabric != nil {
-		if body, ok := s.fabric.DiskGet(rj.key); ok {
+	if s.disk != nil {
+		if body, ok := s.disk.Get(rj.key); ok {
 			s.cache.put(rj.key, body)
 			log.Info("job served from cache", "tier", "disk", "key", rj.key[:12])
 			return &DoResult{Body: body, Tier: "disk", Key: rj.key}, nil
@@ -708,19 +693,7 @@ func (s *Server) Do(ctx context.Context, req SimRequest, tenant string) (*DoResu
 	}
 	defer complete(nil, errors.New("request aborted before completion"))
 
-	// Tier 3: the shard owner's cache (peer fill). Any failure here
-	// degrades to simulating locally.
-	if s.fabric != nil {
-		if body, ok := s.fabric.FetchFromOwner(ctx, rj.key); ok {
-			s.cache.put(rj.key, body)
-			s.fabric.DiskPut(rj.key, body)
-			complete(body, nil)
-			log.Info("job served from cache", "tier", "peer", "key", rj.key[:12])
-			return &DoResult{Body: body, Tier: "peer", Key: rj.key}, nil
-		}
-	}
-
-	// Tier 4: simulate, through fair-share admission.
+	// Tier 3: simulate, through fair-share admission.
 	s.metrics.cacheMisses.Add(1)
 	log.Info("job accepted", "key", rj.key[:12], "total_uops", rj.job.TotalUops())
 
@@ -801,86 +774,6 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, res.Tier, res.Body)
 }
 
-// handleResult is the fabric's peer protocol (docs/fabric.md):
-//
-//	GET /v1/result/{addr}[?wait=1] serves a cached body from this
-//	daemon's memory or disk tier; with wait=1 it also joins an in-flight
-//	computation of that address (bounded by the client's own deadline)
-//	instead of 404ing it into a duplicate simulation. 404 means "owner
-//	has nothing": the caller simulates.
-//
-//	PUT /v1/result/{addr} is the write-back: a peer that simulated an
-//	address this daemon owns stores the body here so future fleet-wide
-//	misses resolve in one hop. Bodies must parse as a SimResponse; the
-//	address binding itself is trusted (the fabric assumes a trusted
-//	fleet network, like /metrics and /debug/pprof).
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	addr := strings.TrimPrefix(r.URL.Path, "/v1/result/")
-	if !fabric.ValidAddr(addr) {
-		writeJSONError(w, http.StatusBadRequest, "invalid", "malformed content address")
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		if body, ok := s.cache.get(addr); ok {
-			writeResult(w, "hit", body)
-			return
-		}
-		if s.fabric != nil {
-			if body, ok := s.fabric.DiskGet(addr); ok {
-				s.cache.put(addr, body)
-				writeResult(w, "disk", body)
-				return
-			}
-		}
-		if r.URL.Query().Get("wait") == "1" {
-			if fl, ok := s.flights.Inflight(addr); ok {
-				if body, err := fl.Wait(r.Context()); err == nil && body != nil {
-					if s.fabric != nil {
-						s.fabric.MarkInflightServed()
-					}
-					writeResult(w, "inflight", body)
-					return
-				}
-			}
-		}
-		writeJSONError(w, http.StatusNotFound, "invalid", "no result for this address")
-	case http.MethodPut:
-		body, err := readResultBody(r)
-		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, "invalid", err.Error())
-			return
-		}
-		s.cache.put(addr, body)
-		if s.fabric != nil {
-			s.fabric.DiskPut(addr, body)
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeJSONError(w, http.StatusMethodNotAllowed, "invalid", "GET or PUT only")
-	}
-}
-
-// readResultBody reads and sanity-checks a pushed result body: it must be
-// a parseable SimResponse with no unknown fields, so garbage (or an
-// entirely different JSON document) cannot be parked in the cache.
-func readResultBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var sr SimResponse
-	if err := dec.Decode(&sr); err != nil {
-		return nil, fmt.Errorf("body is not a SimResponse: %w", err)
-	}
-	if sr.Stats == nil {
-		return nil, errors.New("body has no stats block")
-	}
-	return body, nil
-}
-
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	type entry struct {
 		Name     string `json:"name"`
@@ -920,8 +813,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_entries":  s.cache.len(),
 		"cache_bytes":    s.cache.bytes(),
 	}
-	if s.fabric != nil {
-		body["fabric"] = s.fabric.String()
+	if s.disk != nil {
+		body["fabric"] = s.disk.String()
 	}
 	json.NewEncoder(w).Encode(body)
 }

@@ -14,7 +14,7 @@ import (
 type TraceUploadResponse struct {
 	TraceInfo
 	// Dedup reports that identical bytes were already stored (in memory
-	// or on the fabric disk tier) — the upload was free.
+	// or on the disk tier) — the upload was free.
 	Dedup bool `json:"dedup"`
 }
 
@@ -118,7 +118,7 @@ type Status struct {
 	TracesStored   int    `json:"traces_stored"`
 	TracesUploaded uint64 `json:"traces_uploaded"`
 	TraceRejects   uint64 `json:"trace_rejects"`
-	// Fabric is the fabric tier snapshot; nil when no fabric is
+	// Fabric is the disk tier snapshot; nil when no disk cache is
 	// configured.
 	Fabric *fabric.Snapshot `json:"fabric,omitempty"`
 }
@@ -155,8 +155,8 @@ func (s *Server) Status() Status {
 		TracesUploaded:   s.metrics.tracesUploaded.Load(),
 		TraceRejects:     s.metrics.traceRejects.Load(),
 	}
-	if s.fabric != nil {
-		snap := s.fabric.Metrics().Snapshot()
+	if s.disk != nil {
+		snap := s.disk.Snapshot()
 		st.Fabric = &snap
 	}
 	return st

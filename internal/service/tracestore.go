@@ -29,18 +29,16 @@ const (
 	defaultTraceBytes   = 256 << 20
 )
 
-// TraceDiskTier is the persistent tier behind a TraceStore. It is the
-// subset of *fabric.Fabric the store uses: traces live in the same
-// content-addressed disk cache as result bodies (one immutable byte
-// string per address, docs/fabric.md), which is what lets an uploaded
-// trace survive a daemon restart.
+// TraceDiskTier is the persistent tier behind a TraceStore, satisfied by
+// *fabric.DiskCache: traces live in the same content-addressed disk cache
+// as result bodies (one immutable byte string per address,
+// docs/fabric.md), which is what lets an uploaded trace survive a daemon
+// restart.
 type TraceDiskTier interface {
-	// DiskGet returns the body stored under addr, if any.
-	DiskGet(addr string) ([]byte, bool)
-	// DiskPut persists body under addr (best-effort).
-	DiskPut(addr string, body []byte)
-	// HasDisk reports whether a disk tier is actually configured.
-	HasDisk() bool
+	// Get returns the body stored under addr, if any.
+	Get(addr string) ([]byte, bool)
+	// Put persists body under addr.
+	Put(addr string, body []byte) error
 }
 
 // TraceInfo describes one stored trace.
@@ -57,7 +55,7 @@ type TraceInfo struct {
 
 // TraceStore holds uploaded .rfpt traces content-addressed by the
 // SHA-256 of their raw bytes: a bounded in-memory LRU working set in
-// front of an optional persistent tier (the fabric disk cache). Add
+// front of an optional persistent tier (the disk cache). Add
 // fully decodes every upload, so a stored trace is guaranteed to
 // instantiate as a generator later; Get transparently promotes disk-tier
 // entries back into memory, which is how a trace uploaded before a
@@ -69,7 +67,7 @@ type TraceStore struct {
 	maxEntries int
 	maxBytes   int64
 	totalBytes int64
-	disk       TraceDiskTier // nil or HasDisk()==false when memory-only
+	disk       TraceDiskTier // nil when memory-only
 }
 
 type traceStoreEntry struct {
@@ -152,11 +150,13 @@ func (s *TraceStore) Add(raw []byte) (TraceInfo, bool, error) {
 	s.mu.Unlock()
 
 	dedup := false
-	if s.hasDisk() {
-		if _, ok := s.disk.DiskGet(addr); ok {
+	if s.disk != nil {
+		if _, ok := s.disk.Get(addr); ok {
 			dedup = true // identical bytes survived from an earlier upload
 		} else {
-			s.disk.DiskPut(addr, raw)
+			// Best effort: a failed write only costs the trace its
+			// restart survival; the in-memory copy still serves.
+			_ = s.disk.Put(addr, raw)
 		}
 	}
 	s.mu.Lock()
@@ -177,10 +177,10 @@ func (s *TraceStore) Get(addr string) ([]byte, TraceInfo, bool) {
 	}
 	s.mu.Unlock()
 
-	if !s.hasDisk() {
+	if s.disk == nil {
 		return nil, TraceInfo{}, false
 	}
-	raw, ok := s.disk.DiskGet(addr)
+	raw, ok := s.disk.Get(addr)
 	if !ok || TraceAddress(raw) != addr {
 		// The disk tier also stores result bodies; an address that does
 		// not hash to its own content cannot be a trace we stored.
@@ -221,8 +221,6 @@ func (s *TraceStore) Len() int {
 	defer s.mu.Unlock()
 	return len(s.entries)
 }
-
-func (s *TraceStore) hasDisk() bool { return s.disk != nil && s.disk.HasDisk() }
 
 func (s *TraceStore) insertLocked(info TraceInfo, raw []byte) {
 	if el, ok := s.entries[info.Address]; ok {

@@ -30,16 +30,6 @@ type HTTPBackendOptions struct {
 	Client *http.Client
 	// Metrics, when set, records per-endpoint request counts and latency.
 	Metrics *Metrics
-	// Hedge enables hedged requests: once an attempt has been in flight
-	// longer than the observed p95 unit latency, a speculative duplicate
-	// goes to a different healthy endpoint and the first response wins.
-	// The daemon-side result fabric deduplicates the two identical
-	// requests, so a hedge costs one extra HTTP round trip, not one
-	// extra simulation. Needs >= 2 endpoints to do anything.
-	Hedge bool
-	// HedgeMinDelay floors the hedge trigger so a cold p95 (or a very
-	// fast fleet) cannot double request load for free (0 = 250ms).
-	HedgeMinDelay time.Duration
 }
 
 func (o HTTPBackendOptions) maxAttempts() int {
@@ -63,17 +53,10 @@ func (o HTTPBackendOptions) maxBackoff() time.Duration {
 	return 10 * time.Second
 }
 
-func (o HTTPBackendOptions) hedgeMinDelay() time.Duration {
-	if o.HedgeMinDelay > 0 {
-		return o.HedgeMinDelay
-	}
-	return 250 * time.Millisecond
-}
-
 // endpoint is one rfpsimd instance plus its health state. An endpoint
 // that rejects or errors is put on cooldown — honouring an explicit
 // Retry-After when the daemon sent one, exponential in its consecutive
-// failures otherwise — so the balancer steers units to healthy peers
+// failures otherwise — so the balancer steers units to healthy endpoints
 // instead of hammering a full queue.
 type endpoint struct {
 	url string
@@ -116,7 +99,6 @@ type HTTPBackend struct {
 	opts      HTTPBackendOptions
 	endpoints []*endpoint
 	client    *http.Client
-	latency   *obs.LatencyWindow // successful-request latencies, feeds the hedge trigger
 	next      uint64
 	nextMu    sync.Mutex
 }
@@ -127,7 +109,7 @@ func NewHTTPBackend(urls []string, opts HTTPBackendOptions) (*HTTPBackend, error
 	if len(urls) == 0 {
 		return nil, errors.New("sweep: http backend needs at least one endpoint")
 	}
-	b := &HTTPBackend{opts: opts, client: opts.Client, latency: obs.NewLatencyWindow(0)}
+	b := &HTTPBackend{opts: opts, client: opts.Client}
 	if b.client == nil {
 		b.client = &http.Client{}
 	}
@@ -163,25 +145,6 @@ func (b *HTTPBackend) pick() (*endpoint, time.Duration) {
 		}
 	}
 	return soonest, time.Until(soonestAt)
-}
-
-// pickOther returns a healthy endpoint other than avoid, or nil when
-// none exists right now. Hedges never wait for a cooldown: a hedge is a
-// latency bet, and betting on a cooling endpoint is a losing one.
-func (b *HTTPBackend) pickOther(avoid *endpoint) *endpoint {
-	b.nextMu.Lock()
-	start := b.next
-	b.next++
-	b.nextMu.Unlock()
-
-	now := time.Now()
-	for i := 0; i < len(b.endpoints); i++ {
-		e := b.endpoints[(start+uint64(i))%uint64(len(b.endpoints))]
-		if e != avoid && !e.availableAt().After(now) {
-			return e
-		}
-	}
-	return nil
 }
 
 // backoff returns the jittered exponential cooldown for the n-th
@@ -256,7 +219,7 @@ func (b *HTTPBackend) Run(ctx context.Context, u Unit) (*service.SimResponse, er
 		if err := sleep(ctx, wait); err != nil {
 			return nil, err
 		}
-		resp, err := b.attempt(ctx, e, body)
+		resp, err := b.post(ctx, e, body)
 		if err == nil {
 			return resp, nil
 		}
@@ -280,78 +243,6 @@ func (b *HTTPBackend) Run(ctx context.Context, u Unit) (*service.SimResponse, er
 	return nil, fmt.Errorf("sweep: unit %s failed after %d attempts: %w", u.Label, b.opts.maxAttempts(), lastErr)
 }
 
-// attempt runs one logical try of a unit: a plain post, or — with
-// hedging enabled — a post that a speculative duplicate races once the
-// p95-derived delay passes. The hedge goes to a different healthy
-// endpoint; the first response (success or failure) of the pair that
-// finishes wins, and the loser's request context is cancelled. Losing
-// hedges never touch endpoint health: a cancelled transport error says
-// nothing about the endpoint.
-func (b *HTTPBackend) attempt(ctx context.Context, e *endpoint, body []byte) (*service.SimResponse, error) {
-	if !b.opts.Hedge || len(b.endpoints) < 2 {
-		return b.post(ctx, e, body)
-	}
-	delay := b.latency.P95()
-	if min := b.opts.hedgeMinDelay(); delay < min {
-		delay = min
-	}
-
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		resp   *service.SimResponse
-		err    error
-		hedged bool
-	}
-	results := make(chan outcome, 2)
-	inflight := 1
-	go func() {
-		r, err := b.post(hctx, e, body)
-		results <- outcome{r, err, false}
-	}()
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	armed := true
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !armed {
-				continue
-			}
-			armed = false
-			e2 := b.pickOther(e)
-			if e2 == nil {
-				continue // no second healthy endpoint: nothing to hedge with
-			}
-			if b.opts.Metrics != nil {
-				b.opts.Metrics.hedgeLaunched.Add(1)
-			}
-			inflight++
-			go func() {
-				r, err := b.post(hctx, e2, body)
-				results <- outcome{r, err, true}
-			}()
-		case o := <-results:
-			inflight--
-			if o.err == nil {
-				if o.hedged && b.opts.Metrics != nil {
-					b.opts.Metrics.hedgeWins.Add(1)
-				}
-				return o.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-			// The other attempt is still racing; let it finish the try.
-		}
-	}
-}
-
 // post sends the unit to one endpoint and classifies the outcome,
 // updating the endpoint's health state.
 func (b *HTTPBackend) post(ctx context.Context, e *endpoint, body []byte) (*service.SimResponse, error) {
@@ -372,9 +263,8 @@ func (b *HTTPBackend) post(ctx context.Context, e *endpoint, body []byte) (*serv
 		defer func() { b.opts.Metrics.observe(e.url, time.Since(start), err != nil) }()
 	}
 	if err != nil {
-		// A cancelled request (unit deadline, or this was the losing half
-		// of a hedge) says nothing about the endpoint: report it without
-		// touching health state.
+		// A cancelled request (unit deadline, sweep shutdown) says nothing
+		// about the endpoint: report it without touching health state.
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}
@@ -410,7 +300,6 @@ func (b *HTTPBackend) post(ctx context.Context, e *endpoint, body []byte) (*serv
 			}
 		}
 		e.markSuccess()
-		b.latency.Observe(time.Since(start))
 		return &sr, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		// Backpressure: the daemon told us how long to stay away.

@@ -23,9 +23,6 @@ type Metrics struct {
 	failed  atomic.Uint64 // counter: units terminally failed
 	retried atomic.Uint64 // counter: extra backend attempts
 
-	hedgeLaunched atomic.Uint64 // counter: speculative hedged attempts launched
-	hedgeWins     atomic.Uint64 // counter: hedged attempts that beat the primary
-
 	checkViolations atomic.Uint64 // counter: invariant violations (check_diff units)
 	diffDivergences atomic.Uint64 // counter: check_diff units whose digests diverged
 
@@ -79,8 +76,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	obs.Sample(w, "rfpsweep_units_done_total", `how="checkpoint"`, m.skipped.Load())
 	obs.Counter(w, "rfpsweep_units_failed_total", "Units that exhausted their retries.", m.failed.Load())
 	obs.Counter(w, "rfpsweep_unit_retries_total", "Extra backend attempts beyond each unit's first.", m.retried.Load())
-	obs.Counter(w, "rfpsweep_hedge_launched_total", "Speculative hedged attempts launched past the p95 latency threshold (docs/fabric.md).", m.hedgeLaunched.Load())
-	obs.Counter(w, "rfpsweep_hedge_wins_total", "Hedged attempts whose response arrived before the primary's.", m.hedgeWins.Load())
 	obs.Counter(w, "rfpsim_check_violations_total", "Runtime invariant violations across check_diff units (docs/checking.md).", m.checkViolations.Load())
 	obs.Counter(w, "rfpsweep_diff_divergences_total", "check_diff units whose committed digests diverged.", m.diffDivergences.Load())
 

@@ -27,12 +27,6 @@ rfpsweep_units_failed_total 0
 # HELP rfpsweep_unit_retries_total Extra backend attempts beyond each unit's first.
 # TYPE rfpsweep_unit_retries_total counter
 rfpsweep_unit_retries_total 0
-# HELP rfpsweep_hedge_launched_total Speculative hedged attempts launched past the p95 latency threshold (docs/fabric.md).
-# TYPE rfpsweep_hedge_launched_total counter
-rfpsweep_hedge_launched_total 0
-# HELP rfpsweep_hedge_wins_total Hedged attempts whose response arrived before the primary's.
-# TYPE rfpsweep_hedge_wins_total counter
-rfpsweep_hedge_wins_total 0
 # HELP rfpsim_check_violations_total Runtime invariant violations across check_diff units (docs/checking.md).
 # TYPE rfpsim_check_violations_total counter
 rfpsim_check_violations_total 0
