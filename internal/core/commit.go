@@ -99,7 +99,7 @@ func (c *Core) retire(e *entry) {
 	switch {
 	case e.isLoad():
 		c.st.Loads++
-		c.lqCount--
+		c.lq.popHead()
 		if c.profile != nil {
 			c.profile.record(e)
 		}
@@ -127,7 +127,7 @@ func (c *Core) retire(e *entry) {
 		}
 	case e.isStore():
 		c.st.Stores++
-		c.sqCount--
+		c.sq.popHead()
 	case e.op.IsBranch():
 		c.st.Branches++
 	}
@@ -201,12 +201,8 @@ func (c *Core) flushFrom(fromOff int, refetch bool) {
 		op.Seq = 0 // reassigned at re-dispatch
 		squashed = append(squashed, op)
 
-		if e.inRS {
-			c.rsCount--
-		}
 		switch {
 		case e.isLoad():
-			c.lqCount--
 			if e.ptAllocated {
 				c.pf.Squash(e.op.PC)
 				if c.chk != nil && c.chk.invariants {
@@ -220,11 +216,16 @@ func (c *Core) flushFrom(fromOff int, refetch bool) {
 				c.dlvp.Squash(e.op.PC, e.pathAtFetch)
 			}
 		case e.isStore():
-			c.sqCount--
 			if e.addrKnown && c.chk != nil {
 				c.chk.dropStoreIssued(e.op.Seq, e.op.Addr)
 			}
 		}
+	}
+	// The squashed suffix is the young tail of every index.
+	if firstSeq != 0 {
+		c.truncateRS(firstSeq)
+		c.lq.truncate(firstSeq)
+		c.sq.truncate(firstSeq)
 	}
 	// Walk the squashed suffix youngest-first to unwind the register
 	// mappings: each entry's own register returns to the free list and

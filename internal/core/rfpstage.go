@@ -61,15 +61,14 @@ func (c *Core) rfpArbitrate() {
 		// Older-store scan with the predicted address (§3.2.1): the
 		// prefetch is a proxy for the load, so it performs the same
 		// memory disambiguation the load would.
-		myOff := (pkt.Slot - c.robHead + len(c.rob)) % len(c.rob)
-		action, fwdStore := c.rfpScanStores(e, myOff, pkt.Addr)
+		action, fwdStore := c.rfpScanStores(e, pkt.Addr)
 		switch action {
-		case rfpScanWait:
+		case storeScanWait:
 			// An unresolved same-store-set store blocks the request;
 			// FIFO order makes this head-of-line blocking, as in the
 			// real queue.
 			return
-		case rfpScanForward:
+		case storeScanForward:
 			// The up-to-date data comes from the store queue entry.
 			c.rfpQ.Pop()
 			free--
@@ -150,39 +149,43 @@ func (c *Core) rfpArbitrate() {
 	}
 }
 
-// rfpScan results.
+// Older-store scan results.
 const (
-	rfpScanClear   = iota // no conflicting older store: go to the L1
-	rfpScanWait           // unresolved same-set store: wait for it
-	rfpScanForward        // resolved older store covers the word: take its data
+	storeScanClear   = iota // no conflicting older store: go to the L1
+	storeScanWait           // unresolved same-set store: wait for it
+	storeScanForward        // resolved older store covers the word: take its data
 )
 
 // rfpScanStores performs the §3.2.1 older-store scan for a prefetch to
-// addr on behalf of load e at ROB offset myOff (youngest-first, like the
-// LSQ CAM). On rfpScanForward the covering store entry is returned.
-func (c *Core) rfpScanStores(e *entry, myOff int, addr uint64) (action int, fwdStore *entry) {
+// addr on behalf of load e: the prefetch disambiguates exactly as its load
+// would. On storeScanForward the covering store entry is returned.
+func (c *Core) rfpScanStores(e *entry, addr uint64) (action int, fwdStore *entry) {
 	if c.faultRFPNoDisambiguation {
-		return rfpScanClear, nil // injected fault: never scan, never wait
+		return storeScanClear, nil // injected fault: never scan, never wait
 	}
+	return c.scanOlderStores(e, addr)
+}
+
+// scanOlderStores walks the stores older than load e youngest-first, like
+// the LSQ CAM, for an access to addr. The first resolved store to the same
+// word forwards its data; an unresolved store the memory-dependence
+// predictor places in e's store set makes the access wait. A wrong "skip"
+// past an unresolved store is caught when that store issues: a demand load
+// is flushed, a prefetch marked stale (no flush, per §3.2.1, because the
+// load has not dispatched).
+func (c *Core) scanOlderStores(e *entry, addr uint64) (action int, fwdStore *entry) {
 	loadSet := c.ss.IDFor(e.op.PC)
-	for off := myOff - 1; off >= 0; off-- {
-		s := &c.rob[c.robIndex(off)]
-		if !s.valid || !s.isStore() {
-			continue
-		}
+	for i := c.sq.olderThan(e.op.Seq) - 1; i >= 0; i-- {
+		s := &c.rob[c.sq.at(i).slot]
 		if s.addrKnown {
 			if sameWord(s.op.Addr, addr) {
-				return rfpScanForward, s
+				return storeScanForward, s
 			}
 			continue
 		}
-		// Unresolved store: the memory-dependence predictor decides
-		// whether the prefetch waits or speculates past it (a wrong
-		// "skip" is caught by issueStore marking the prefetch stale —
-		// no flush, per §3.2.1, because the load has not dispatched).
 		if loadSet != -1 && c.ss.IDFor(s.op.PC) == loadSet {
-			return rfpScanWait, nil
+			return storeScanWait, nil
 		}
 	}
-	return rfpScanClear, nil
+	return storeScanClear, nil
 }

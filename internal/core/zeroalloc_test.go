@@ -32,6 +32,8 @@ func steadyCore(t *testing.T, cfg config.Core) *Core {
 // before the tracing guard) and for any new per-uop/per-event allocation
 // sneaking into a pipeline stage.
 func TestStepZeroAllocs(t *testing.T) {
+	lateAlloc := config.Baseline().WithRFP()
+	lateAlloc.LateRegAlloc = true
 	for _, tc := range []struct {
 		name string
 		cfg  config.Core
@@ -47,6 +49,12 @@ func TestStepZeroAllocs(t *testing.T) {
 		{"spp", config.Baseline().WithRFP().WithPrefetcher("spp")},
 		{"sisb", config.Baseline().WithRFP().WithPrefetcher("sisb")},
 		{"managed", config.Baseline().WithRFP().WithPrefetcher("managed")},
+		// Value-misprediction flushes, EPP re-executions and late-claim
+		// retries all update the scheduler indexes; that upkeep must
+		// reuse the storage New preallocated.
+		{"eves", config.Baseline().WithVP(config.VPEVES)},
+		{"epp", config.Baseline().WithVP(config.VPEPP)},
+		{"late-alloc", lateAlloc},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := steadyCore(t, tc.cfg)
