@@ -13,11 +13,14 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"rfpsim/internal/champsim"
 	"rfpsim/internal/isa"
@@ -46,7 +49,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "need -o with -from-champsim")
 			os.Exit(2)
 		}
-		if err := convertChampSim(*fromCS, *out, *n, os.Stdout); err != nil {
+		// SIGINT or SIGTERM cancels the conversion and kills an xz
+		// decompressor rather than leaving it behind.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err := convertChampSim(ctx, *fromCS, *out, *n, os.Stdout)
+		stop()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -96,11 +104,14 @@ func dump(spec trace.Spec, n uint64, path string) error {
 	return f.Close()
 }
 
+// ctxCheckUops is how many converted uops pass between cancellation polls.
+const ctxCheckUops = 1 << 16
+
 // convertChampSim cracks a ChampSim instruction trace into micro-ops and
 // writes them as .rfpt, capping the output at n uops (an instruction's
-// uops are never split across the cap).
-func convertChampSim(src, dst string, n uint64, stdout io.Writer) error {
-	in, err := champsim.OpenFile(src)
+// uops are never split across the cap). Cancelling ctx stops it.
+func convertChampSim(ctx context.Context, src, dst string, n uint64, stdout io.Writer) error {
+	in, err := champsim.OpenFileContext(ctx, src)
 	if err != nil {
 		return err
 	}
@@ -113,7 +124,10 @@ func convertChampSim(src, dst string, n uint64, stdout io.Writer) error {
 	w := tracefile.NewWriter(f)
 	conv := champsim.NewConverter(champsim.NewDecoder(in), src)
 	var op isa.MicroOp
-	for conv.Uops() < n && conv.Next(&op) {
+	for i := 0; conv.Uops() < n && conv.Next(&op); i++ {
+		if i%ctxCheckUops == 0 && ctx.Err() != nil {
+			return fmt.Errorf("converting %s: cancelled after %d uops: %w", src, i, ctx.Err())
+		}
 		if err := w.Write(&op); err != nil {
 			return fmt.Errorf("writing %s: %w", dst, err)
 		}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -89,7 +91,7 @@ const champsimFixture = "../../internal/champsim/testdata/tiny.champsim.gz"
 func TestConvertInfoGolden(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "tiny.rfpt")
 	var conv bytes.Buffer
-	if err := convertChampSim(champsimFixture, out, 1<<40, &conv); err != nil {
+	if err := convertChampSim(context.Background(), champsimFixture, out, 1<<40, &conv); err != nil {
 		t.Fatalf("convert: %v", err)
 	}
 	var info bytes.Buffer
@@ -123,10 +125,22 @@ func TestConvertInfoGolden(t *testing.T) {
 func TestConvertCapStopsEarly(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "capped.rfpt")
 	var report bytes.Buffer
-	if err := convertChampSim(champsimFixture, out, 1, &report); err != nil {
+	if err := convertChampSim(context.Background(), champsimFixture, out, 1, &report); err != nil {
 		t.Fatalf("convert: %v", err)
 	}
 	if !strings.Contains(report.String(), "converted 1 ChampSim instructions into 1 uops") {
 		t.Errorf("unexpected capped-conversion report: %s", report.String())
+	}
+}
+
+// TestConvertCancelled checks a cancelled context stops a conversion with
+// the context's error instead of writing the whole trace.
+func TestConvertCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out := filepath.Join(t.TempDir(), "cancelled.rfpt")
+	err := convertChampSim(ctx, champsimFixture, out, 1<<40, io.Discard)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("convert under a cancelled context = %v, want context.Canceled", err)
 	}
 }

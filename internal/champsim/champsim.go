@@ -52,6 +52,7 @@ package champsim
 
 import (
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -335,6 +336,13 @@ var (
 // on PATH (the module deliberately has no third-party xz decoder).
 // Anything else is read as uncompressed records.
 func OpenFile(path string) (io.ReadCloser, error) {
+	return OpenFileContext(context.Background(), path)
+}
+
+// OpenFileContext is OpenFile bound to a context. Cancelling ctx kills an
+// xz decompressor: later reads fail with ctx's error instead of ending the
+// stream early, and Close reaps the process.
+func OpenFileContext(ctx context.Context, path string) (io.ReadCloser, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -353,7 +361,7 @@ func OpenFile(path string) (io.ReadCloser, error) {
 	switch {
 	case hasPrefix(magic, xzMagic):
 		f.Close()
-		return openXZ(path)
+		return openXZ(ctx, path)
 	case hasPrefix(magic, gzipMagic):
 		zr, err := gzip.NewReader(f)
 		if err != nil {
@@ -398,13 +406,14 @@ func (g *gzipFile) Close() error {
 
 // openXZ streams `xz -dc path` — the Go standard library has no xz
 // decoder and the module takes no third-party dependencies, so the tool
-// is required for xz-compressed traces.
-func openXZ(path string) (io.ReadCloser, error) {
+// is required for xz-compressed traces. The process runs under ctx, so a
+// cancellation kills it.
+func openXZ(ctx context.Context, path string) (io.ReadCloser, error) {
 	xz, err := exec.LookPath("xz")
 	if err != nil {
 		return nil, fmt.Errorf("champsim: %s is xz-compressed but no xz tool is on PATH; install xz-utils or decompress the trace first", path)
 	}
-	cmd := exec.Command(xz, "-dc", path)
+	cmd := exec.CommandContext(ctx, xz, "-dc", path)
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -413,20 +422,29 @@ func openXZ(path string) (io.ReadCloser, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	return &xzPipe{cmd: cmd, out: out}, nil
+	return &xzPipe{ctx: ctx, cmd: cmd, out: out}, nil
 }
 
 // xzPipe reaps the xz subprocess on Close.
 type xzPipe struct {
+	ctx context.Context
 	cmd *exec.Cmd
 	out io.ReadCloser
 	eof bool // the decompressed stream was read to its end
 }
 
-// Read implements io.Reader over the decompressed stream.
+// Read implements io.Reader over the decompressed stream. Once ctx is
+// cancelled the stream is cut short wherever xz died, so Read reports
+// ctx's error rather than a clean end of stream.
 func (p *xzPipe) Read(b []byte) (int, error) {
+	if err := p.ctx.Err(); err != nil {
+		return 0, fmt.Errorf("champsim: xz decompression: %w", err)
+	}
 	n, err := p.out.Read(b)
 	if err == io.EOF {
+		if cerr := p.ctx.Err(); cerr != nil {
+			return n, fmt.Errorf("champsim: xz decompression: %w", cerr)
+		}
 		p.eof = true
 	}
 	return n, err
