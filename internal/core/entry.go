@@ -59,6 +59,10 @@ type entry struct {
 	prevPReg      int32
 	earliestIssue uint64 // dispatch cycle + scheduling depth
 	retryAt       uint64 // next cycle a blocked/replayed entry may retry
+	// wakeAt is a cycle before which this RS entry cannot pass the
+	// speculative-wakeup check (specWake); its RS index member holds a
+	// copy.
+	wakeAt uint64
 
 	// doneSpec is when dependents believe the result arrives (speculative
 	// wakeup time); doneReal is when it actually does. They differ only
