@@ -5,14 +5,16 @@
 //
 // Usage:
 //
-//	benchjson [-bench regexp] [-benchtime 1x] [-out BENCH_<date>.json]
+//	benchjson [-bench regexp] [-benchtime 1x] [-count 1] [-out BENCH_<date>.json]
 //	          [-date YYYY-MM-DD] [-compare BENCH_<date>.json]
 //
 // The default output name embeds the run date (BENCH_2006-01-02.json);
 // -date overrides the stamp so CI runs are reproducible. The file records
-// the toolchain, host shape and every benchmark's full metric set — the
-// standard ns/op, B/op and allocs/op plus the custom experiment metrics
-// (speedup_pct, coverage_pct, ...) bench_test.go reports.
+// the toolchain, host shape (CPUs and GOMAXPROCS) and every benchmark's
+// full metric set — the standard ns/op, B/op and allocs/op plus the custom
+// experiment metrics (speedup_pct, coverage_pct, ...) bench_test.go
+// reports. With -count N each benchmark runs N times and the report holds
+// one result per benchmark whose every metric is the median of its runs.
 //
 // With -compare, the fresh run is additionally diffed against a committed
 // baseline file and the command exits non-zero when a shared benchmark
@@ -28,6 +30,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -54,9 +57,12 @@ type Report struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	CPUs      int    `json:"cpus"`
-	// Bench and Benchtime echo the selection the run used.
+	// GOMAXPROCS is the parallelism the benchmarks ran with.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// Bench, Benchtime and Count echo the selection the run used.
 	Bench     string `json:"bench"`
 	Benchtime string `json:"benchtime"`
+	Count     int    `json:"count,omitempty"`
 	// Benchmarks lists every parsed result in output order.
 	Benchmarks []Result `json:"benchmarks"`
 }
@@ -65,6 +71,7 @@ func main() {
 	var (
 		bench      = flag.String("bench", ".", "benchmark selection regexp (go test -bench)")
 		benchtime  = flag.String("benchtime", "1x", "per-benchmark budget (go test -benchtime)")
+		count      = flag.Int("count", 1, "runs per benchmark, reported as per-metric medians (go test -count)")
 		out        = flag.String("out", "", "output path (default BENCH_<date>.json)")
 		date       = flag.String("date", "", "date stamp for the report and default filename (default today)")
 		compare    = flag.String("compare", "", "baseline BENCH_*.json to gate the fresh run against")
@@ -72,6 +79,10 @@ func main() {
 		maxAllocUp = flag.Float64("max-allocs-growth", 0, "max fractional allocs/op growth vs baseline before failing")
 	)
 	flag.Parse()
+	if *count < 1 {
+		fmt.Fprintln(os.Stderr, "benchjson: -count must be at least 1")
+		os.Exit(2)
+	}
 
 	stamp := *date
 	if stamp == "" {
@@ -83,7 +94,7 @@ func main() {
 	}
 
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", *bench,
-		"-benchtime", *benchtime, "-benchmem", ".")
+		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), "-benchmem", ".")
 	cmd.Stderr = os.Stderr
 	outBytes, err := cmd.Output()
 	if err != nil {
@@ -103,6 +114,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	results = CollapseMedians(results)
 	if len(results) == 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: no benchmarks matched -bench %q\n", *bench)
 		os.Exit(1)
@@ -114,8 +126,10 @@ func main() {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Bench:      *bench,
 		Benchtime:  *benchtime,
+		Count:      *count,
 		Benchmarks: results,
 	}
 	f, err := os.Create(path)
@@ -268,6 +282,50 @@ func ParseBenchOutput(out string) ([]Result, error) {
 		results = append(results, r)
 	}
 	return results, nil
+}
+
+// CollapseMedians merges the repeated results -count produces into one
+// result per benchmark name, in order of first appearance. Each metric
+// becomes the median over the runs that reported it, and Iterations the
+// median iteration count.
+func CollapseMedians(results []Result) []Result {
+	var names []string
+	runs := map[string][]Result{}
+	for _, r := range results {
+		if _, ok := runs[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]Result, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		iters := make([]float64, len(rs))
+		values := map[string][]float64{}
+		for i, r := range rs {
+			iters[i] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		merged := Result{Name: name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
+		for unit, vs := range values {
+			merged.Metrics[unit] = median(vs)
+		}
+		out = append(out, merged)
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count). It sorts vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // trimProcs strips the trailing -<GOMAXPROCS> go test appends to

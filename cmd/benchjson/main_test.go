@@ -147,3 +147,58 @@ func TestCheckBenchStream(t *testing.T) {
 		t.Error("truncated stream (no PASS marker) accepted")
 	}
 }
+
+func TestCollapseMediansMergesRepeatedRuns(t *testing.T) {
+	out := `BenchmarkSimulatorThroughput-2         	 300	 5000000 ns/op	 1800000 uops/s	 364 B/op	 0 allocs/op
+BenchmarkRFPSimulatorThroughput-2      	 300	 5500000 ns/op	 1700000 uops/s	 422 B/op	 0 allocs/op
+BenchmarkSimulatorThroughput-2         	 300	 9000000 ns/op	 1000000 uops/s	 364 B/op	 0 allocs/op
+BenchmarkRFPSimulatorThroughput-2      	 300	 5400000 ns/op	 1750000 uops/s	 422 B/op	 0 allocs/op
+BenchmarkSimulatorThroughput-2         	 300	 5200000 ns/op	 1750000 uops/s	 364 B/op	 1 allocs/op
+BenchmarkRFPSimulatorThroughput-2      	 200	 5600000 ns/op	 1650000 uops/s	 422 B/op	 0 allocs/op
+BenchmarkRFPSimulatorThroughput-2      	 400	 5300000 ns/op	 1800000 uops/s	 422 B/op	 0 allocs/op
+PASS
+`
+	parsed, err := ParseBenchOutput(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := CollapseMedians(parsed)
+	if len(results) != 2 || results[0].Name != "BenchmarkSimulatorThroughput" || results[1].Name != "BenchmarkRFPSimulatorThroughput" {
+		t.Fatalf("collapsed to %+v, want one result per benchmark in first-seen order", results)
+	}
+	// Odd run count: the middle value, so the 9 ms outlier is ignored.
+	for unit, want := range map[string]float64{
+		"ns/op": 5200000, "uops/s": 1750000, "B/op": 364, "allocs/op": 0,
+	} {
+		if got := results[0].Metrics[unit]; got != want {
+			t.Errorf("SimulatorThroughput %s = %g, want median %g", unit, got, want)
+		}
+	}
+	// Even run count: the mean of the two middle values.
+	if got := results[1].Metrics["uops/s"]; got != 1725000 {
+		t.Errorf("RFPSimulatorThroughput uops/s = %g, want 1725000", got)
+	}
+	if got := results[1].Iterations; got != 300 {
+		t.Errorf("RFPSimulatorThroughput iterations = %d, want 300", got)
+	}
+
+	// The gate compares one median per benchmark; fed the raw repeats it
+	// would match the baseline against each, outlier included.
+	base := Report{Benchmarks: []Result{
+		{Name: "BenchmarkSimulatorThroughput", Metrics: map[string]float64{"uops/s": 1800000, "allocs/op": 0}},
+	}}
+	regs, err := CompareReports(base, Report{Benchmarks: results}, 0.10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Errorf("median run flagged as a regression: %v", regs)
+	}
+	regs, err = CompareReports(base, Report{Benchmarks: parsed}, 0.10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) == 0 {
+		t.Error("uncollapsed repeats passed; the outlier run should have been flagged against each duplicate")
+	}
+}

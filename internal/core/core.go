@@ -307,19 +307,14 @@ type footprinter interface {
 
 // WarmCaches pre-touches the workload's declared memory footprint into the
 // hierarchy so the measurement window starts from the steady-state cache
-// contents a long-running program would have. Regions larger than a cache
-// level naturally only keep their tail resident, just as a real scan would
-// leave them.
+// contents a long-running program would have: the state a line-by-line
+// sweep of every region, in order, would leave. Regions larger than a
+// cache level only keep their tail resident, just as a real scan would
+// leave them. Call it straight after New, before anything touches the
+// hierarchy (mem.Hierarchy.WarmRegions panics on a warm one).
 func (c *Core) WarmCaches() {
-	g, ok := c.gen.(footprinter)
-	if !ok {
-		return
-	}
-	for _, r := range g.FootprintRegions() {
-		base, size := r[0], r[1]
-		for a := base; a < base+size; a += isa.CacheLineSize {
-			c.hier.Warm(a)
-		}
+	if g, ok := c.gen.(footprinter); ok {
+		c.hier.WarmRegions(g.FootprintRegions())
 	}
 }
 

@@ -92,9 +92,11 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Insert fills the line containing addr, evicting the LRU way if needed.
-// Inserting a line already present refreshes its LRU state.
-func (c *Cache) Insert(addr uint64) {
+// fill installs the line containing addr, evicting the LRU way if needed;
+// pf marks it prefetched so the hierarchy can attribute the first
+// consumption (or an unconsumed eviction) back to the prefetcher. Filling
+// a line already present only refreshes its LRU state.
+func (c *Cache) fill(addr uint64, pf bool) {
 	set := c.setFor(addr)
 	tag := c.tagFor(addr)
 	c.stamp++
@@ -115,34 +117,26 @@ func (c *Cache) Insert(addr uint64) {
 	if set[victim].valid && set[victim].pf {
 		c.pfUnused++
 	}
-	set[victim] = cacheLine{tag: tag, valid: true, lru: c.stamp}
+	set[victim] = cacheLine{tag: tag, valid: true, pf: pf, lru: c.stamp}
 }
 
-// InsertPrefetched fills the line containing addr like Insert, but marks
-// it prefetched so the hierarchy can attribute the first consumption (or
-// an unconsumed eviction) back to the prefetcher.
-func (c *Cache) InsertPrefetched(addr uint64) {
+// fillCold places the line containing addr, stamped lru, in the first
+// invalid way of its set, and reports whether it did. It leaves a set that
+// already holds the line or has no invalid way untouched. Valid ways are
+// never invalidated, so they always form a prefix of the set.
+func (c *Cache) fillCold(addr, lru uint64) bool {
 	set := c.setFor(addr)
 	tag := c.tagFor(addr)
-	c.stamp++
-	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.stamp
-			return
-		}
 		if !set[i].valid {
-			victim = i
-			break
+			set[i] = cacheLine{tag: tag, valid: true, lru: lru}
+			return true
 		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+		if set[i].tag == tag {
+			return false
 		}
 	}
-	if set[victim].valid && set[victim].pf {
-		c.pfUnused++
-	}
-	set[victim] = cacheLine{tag: tag, valid: true, pf: true, lru: c.stamp}
+	return false
 }
 
 // LookupConsume is Lookup plus prefetch attribution: on a hit it clears
@@ -185,11 +179,4 @@ func (c *Cache) TakePFUnused() uint64 {
 	u := c.pfUnused
 	c.pfUnused = 0
 	return u
-}
-
-// Flush invalidates the whole cache.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
-	}
 }

@@ -27,7 +27,7 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	if c.Lookup(addr) {
 		t.Error("cold cache must miss")
 	}
-	c.Insert(addr)
+	c.fill(addr, false)
 	if !c.Lookup(addr) {
 		t.Error("inserted line must hit")
 	}
@@ -54,10 +54,10 @@ func TestCacheSizeBytes(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(1, 2) // one set, two ways
 	a, b, d := uint64(0), uint64(64), uint64(128)
-	c.Insert(a)
-	c.Insert(b)
-	c.Lookup(a) // a becomes MRU
-	c.Insert(d) // must evict b
+	c.fill(a, false)
+	c.fill(b, false)
+	c.Lookup(a)      // a becomes MRU
+	c.fill(d, false) // must evict b
 	if !c.Contains(a) {
 		t.Error("MRU line a was evicted")
 	}
@@ -72,10 +72,10 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheInsertRefreshesExisting(t *testing.T) {
 	c := NewCache(1, 2)
 	a, b, d := uint64(0), uint64(64), uint64(128)
-	c.Insert(a)
-	c.Insert(b)
-	c.Insert(a) // refresh, not duplicate
-	c.Insert(d) // should evict b (a is MRU)
+	c.fill(a, false)
+	c.fill(b, false)
+	c.fill(a, false) // refresh, not duplicate
+	c.fill(d, false) // should evict b (a is MRU)
 	if c.Contains(b) || !c.Contains(a) || !c.Contains(d) {
 		t.Error("re-insert did not refresh LRU")
 	}
@@ -84,25 +84,12 @@ func TestCacheInsertRefreshesExisting(t *testing.T) {
 func TestCacheContainsDoesNotTouchLRU(t *testing.T) {
 	c := NewCache(1, 2)
 	a, b, d := uint64(0), uint64(64), uint64(128)
-	c.Insert(a)
-	c.Insert(b)
-	c.Contains(a) // must NOT refresh a
-	c.Insert(d)   // evicts a (still LRU)
+	c.fill(a, false)
+	c.fill(b, false)
+	c.Contains(a)    // must NOT refresh a
+	c.fill(d, false) // evicts a (still LRU)
 	if c.Contains(a) {
 		t.Error("Contains perturbed replacement state")
-	}
-}
-
-func TestCacheFlush(t *testing.T) {
-	c := NewCache(4, 2)
-	for i := uint64(0); i < 8; i++ {
-		c.Insert(i * 64)
-	}
-	c.Flush()
-	for i := uint64(0); i < 8; i++ {
-		if c.Contains(i * 64) {
-			t.Fatalf("line %d survived flush", i)
-		}
 	}
 }
 
@@ -113,7 +100,7 @@ func TestCacheInsertionProperty(t *testing.T) {
 		c := NewCache(16, 4)
 		for _, a := range addrs {
 			addr := uint64(a)
-			c.Insert(addr)
+			c.fill(addr, false)
 			if !c.Contains(addr) {
 				return false
 			}
@@ -133,7 +120,7 @@ func TestCacheLRUStackProperty(t *testing.T) {
 	// Touch a deterministic pseudo-random sequence of 12 distinct lines.
 	for i := 0; i < 200; i++ {
 		line := uint64((i*7)%12) * isa.CacheLineSize
-		c.Insert(line)
+		c.fill(line, false)
 		touched = append(touched, line)
 	}
 	// Compute the 4 most recently touched distinct lines.

@@ -204,12 +204,12 @@ func (h *Hierarchy) Access(addr, pc, now uint64, countLoad bool) Result {
 		res.DoneAt = start + h.latency[res.Level]
 		// Fill the line into every level above the hit level
 		// (inclusive hierarchy).
-		h.l1.Insert(line)
+		h.l1.fill(line, false)
 		if res.Level >= stats.LevelLLC {
-			h.l2.Insert(line)
+			h.l2.fill(line, false)
 		}
 		if res.Level == stats.LevelMem {
-			h.llc.Insert(line)
+			h.llc.fill(line, false)
 		}
 		h.inflight = append(h.inflight, inflightMiss{lineAddr: line, fillAt: res.DoneAt})
 	}
@@ -240,12 +240,12 @@ func (h *Hierarchy) Access(addr, pc, now uint64, countLoad bool) Result {
 				lvl = stats.LevelLLC
 			}
 			fill := start + h.latency[lvl]
-			h.l1.InsertPrefetched(pl)
+			h.l1.fill(pl, true)
 			if lvl >= stats.LevelLLC {
-				h.l2.Insert(pl)
+				h.l2.fill(pl, false)
 			}
 			if lvl == stats.LevelMem {
-				h.llc.Insert(pl)
+				h.llc.fill(pl, false)
 			}
 			h.inflight = append(h.inflight, inflightMiss{lineAddr: pl, fillAt: fill})
 			h.pf.Fill(pl)
@@ -292,8 +292,74 @@ func (h *Hierarchy) TLBCovers(addr uint64) bool {
 // it so measurement windows start with realistic cache state.
 func (h *Hierarchy) Warm(addr uint64) {
 	line := isa.LineAddr(addr)
-	h.llc.Insert(line)
-	h.l2.Insert(line)
-	h.l1.Insert(line)
+	h.llc.fill(line, false)
+	h.l2.fill(line, false)
+	h.l1.fill(line, false)
 	h.tlb.Insert(isa.PageFrame(addr))
+}
+
+// WarmRegions leaves the hierarchy in the state that calling Warm on
+// base, base+64, ... below base+size, region by region in order, would
+// leave it in, without replaying that sweep. The hierarchy must be cold
+// (freshly built and never accessed); WarmRegions panics otherwise.
+//
+// Between warming fills there are no lookups, so each true-LRU set ends
+// up holding the last ways distinct lines that map to it, each stamped
+// with the index of its last touch. WarmRegions walks the sweep from its
+// end, stamping the k-th forward call k, and places each line in the
+// first invalid way of its set unless the set is full or already holds
+// the line (touched later, so a duplicate). Way order within a set is not
+// observable: victims are chosen by minimum stamp. The walk stops once
+// every cache level and the DTLB are full, so it touches at most the
+// LLC's capacity plus duplicates for a contiguous sweep, and never more
+// lines than the forward sweep would.
+func (h *Hierarchy) WarmRegions(regions [][2]uint64) {
+	if h.l1.stamp|h.l2.stamp|h.llc.stamp|h.tlb.stamp != 0 {
+		panic("mem: WarmRegions on a hierarchy that is not cold")
+	}
+	caches := [...]*Cache{h.l1, h.l2, h.llc}
+	var n uint64
+	for _, r := range regions {
+		n += sweepLines(r[1])
+	}
+	var free [len(caches) + 1]int // empty ways per cache level, then the DTLB
+	for i, c := range caches {
+		free[i] = len(c.lines)
+	}
+	free[len(caches)] = len(h.tlb.entries)
+	open := len(free)
+	take := func(i int, placed bool) {
+		if placed {
+			if free[i]--; free[i] == 0 {
+				open--
+			}
+		}
+	}
+	lru := n
+	for i := len(regions) - 1; i >= 0 && open > 0; i-- {
+		base := regions[i][0]
+		for k := sweepLines(regions[i][1]); k > 0 && open > 0; k-- {
+			addr := base + (k-1)*isa.CacheLineSize
+			line := isa.LineAddr(addr)
+			for j, c := range caches {
+				if free[j] > 0 {
+					take(j, c.fillCold(line, lru))
+				}
+			}
+			if free[len(caches)] > 0 {
+				take(len(caches), h.tlb.fillCold(isa.PageFrame(addr), lru))
+			}
+			lru--
+		}
+	}
+	for _, c := range caches {
+		c.stamp = n
+	}
+	h.tlb.stamp = n
+}
+
+// sweepLines is the number of addresses base, base+64, ... below
+// base+size: the Warm calls one region of WarmRegions stands for.
+func sweepLines(size uint64) uint64 {
+	return size/isa.CacheLineSize + min(size%isa.CacheLineSize, 1)
 }

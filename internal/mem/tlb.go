@@ -80,3 +80,18 @@ func (t *TLB) Insert(page uint64) {
 	}
 	set[victim] = tlbEntry{page: page, valid: true, lru: t.stamp}
 }
+
+// fillCold is Cache.fillCold for a page translation.
+func (t *TLB) fillCold(page, lru uint64) bool {
+	set := t.setFor(page)
+	for i := range set {
+		if !set[i].valid {
+			set[i] = tlbEntry{page: page, valid: true, lru: lru}
+			return true
+		}
+		if set[i].page == page {
+			return false
+		}
+	}
+	return false
+}

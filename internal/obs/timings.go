@@ -11,8 +11,9 @@ import (
 
 // Stage names of the per-job timing breakdown. They mirror the phases of
 // one simulation job end to end: the sampling profile/cluster pass
-// (sampled jobs only), the functional fast-forward, the cycle-accurate
-// warmup, the measured window, and statistics aggregation/scaling.
+// (sampled jobs only), core set-up with footprint warming and the
+// functional fast-forward, the cycle-accurate warmup, the measured window,
+// and statistics aggregation/scaling.
 const (
 	StageProfile     = "profile"
 	StageFastForward = "fastforward"

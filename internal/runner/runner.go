@@ -162,11 +162,11 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 		if gen == nil {
 			gen = replica.New()
 		}
+		begin := time.Now()
 		c := core.New(job.Config, gen)
 		if !job.ColdCaches {
 			c.WarmCaches()
 		}
-		begin := time.Now()
 		if err := c.FastForward(ctx, job.FastForwardUops); err != nil {
 			return nil, fmt.Errorf("runner: %s seed %d fast-forward: %w", job.Spec.Name, s, err)
 		}

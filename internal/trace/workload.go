@@ -257,13 +257,6 @@ func newGenerator(s Spec) *generator {
 	return g
 }
 
-// Footprint visits every region the workload touches.
-func (g *generator) Footprint(visit func(Region)) {
-	for _, r := range g.regions {
-		visit(r)
-	}
-}
-
 // FootprintRegions returns the touched regions as [base, size] pairs; the
 // core uses it to pre-warm caches — standing in for the billions of
 // instructions that precede a measurement window in trace-driven studies.
