@@ -16,6 +16,8 @@ import (
 	"rfpsim/internal/core"
 	"rfpsim/internal/experiments"
 	"rfpsim/internal/isa"
+	"rfpsim/internal/runner"
+	"rfpsim/internal/sample"
 	"rfpsim/internal/trace"
 )
 
@@ -91,6 +93,29 @@ func BenchmarkRFPSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(chunk*b.N)/b.Elapsed().Seconds(), "uops/s")
+}
+
+// BenchmarkSampledRun measures a sampled job end to end: sample.Run on
+// spec06_mcf under RFP+CLP with the managed L1 prefetcher, at the
+// rfpbench sampled-sweep size (warmup 20K, measure 100K, default plan).
+// Profiling, fast-forward, forks and the replayed intervals all count.
+// uops/s is the measured window the job estimates per wall second.
+func BenchmarkSampledRun(b *testing.B) {
+	spec, _ := trace.ByName("spec06_mcf")
+	job := runner.Job{
+		Config:      config.Baseline().WithCLP().WithPrefetcher("managed"),
+		Spec:        spec,
+		WarmupUops:  20000,
+		MeasureUops: 100000,
+		Seeds:       1,
+		Sampling:    &runner.Sampling{},
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := sample.Run(context.Background(), job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(job.MeasureUops)*float64(b.N)/b.Elapsed().Seconds(), "uops/s")
 }
 
 // BenchmarkFig1OracleHeadroom regenerates Figure 1 (oracle prefetching

@@ -196,10 +196,16 @@ func (d Differential) runSide(ctx context.Context, cfg config.Core, faults []str
 	// Run may overshoot its retirement target by up to Width-1 uops, and
 	// the overshoot differs between configurations, so every segment is
 	// trimmed to the amount both sides are guaranteed to have digested.
+	// A sampled interval's warmup overshoots the same way, so the last
+	// interval's segment can start a few uops late and run past the
+	// compared window; the part past the window is trimmed too.
 	for i := range segs {
 		digs := digests[i].Digests()
 		if uint64(len(digs)) > segLimit {
 			digs = digs[:segLimit]
+		}
+		if segs[i].pos+uint64(len(digs)) > uops {
+			digs = digs[:uops-min(segs[i].pos, uops)]
 		}
 		segs[i].digs = digs
 	}

@@ -197,3 +197,23 @@ func TestDivergenceLocalization(t *testing.T) {
 		t.Fatalf("divergent interval hashes are equal: %#x", res.BaseHash)
 	}
 }
+
+// TestDifferentialSampledLastIntervalAtWindowEnd pins the window-edge
+// trim: when the plan replays the window's last interval and its warmup
+// retires a few uops past the interval start, the uops digested past the
+// end of the window must not count as a divergence. spec06_perlbench at
+// the rfpsim -diff full defaults is such a case.
+func TestDifferentialSampledLastIntervalAtWindowEnd(t *testing.T) {
+	t.Parallel()
+	variant := config.Baseline()
+	base, _, err := BaseFor("full", variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireClean(t, Differential{
+		Base: base, Variant: variant,
+		Spec:            mustSpec(t, "spec06_perlbench"),
+		Uops:            60000,
+		VariantSampling: &runner.Sampling{},
+	})
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"rfpsim/internal/config"
@@ -96,9 +97,10 @@ type Core struct {
 	nextSeq           uint64
 	genDone           bool
 	ffConsumed        uint64 // uops consumed functionally by FastForward
-	// fetchOp is fetch's generator scratch uop. A stack-local would escape
-	// through the Generator interface call and heap-allocate once per
-	// fetched uop; hoisting it here keeps the frontend zero-alloc.
+	// fetchOp is the generator scratch uop of fetch and FastForward. A
+	// stack-local would escape through the Generator interface call and
+	// heap-allocate once per fetched uop (or once per FastForward call);
+	// hoisting it here keeps both zero-alloc.
 	fetchOp isa.MicroOp
 
 	// squashBuf and mergeBuf are flushFrom/requeueFetchQ scratch storage,
@@ -148,29 +150,13 @@ type producer struct {
 // must Validate; New panics otherwise (a bad config is a programming
 // error, not a runtime condition).
 func New(cfg config.Core, gen isa.Generator) *Core {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	st := &stats.Sim{}
-	c := &Core{
-		cfg:  cfg,
-		gen:  gen,
-		st:   st,
-		hier: mem.NewHierarchy(cfg.Mem, cfg.Oracle, st),
-		hm:   predictor.NewHitMiss(12),
-		ss:   predictor.NewStoreSets(10),
-		rob:  make([]entry, cfg.ROBSize),
-		rs:   make([]rsRef, 0, cfg.RSSize),
-		lq:   newLSQIndex(cfg.LQSize),
-		sq:   newLSQIndex(cfg.SQSize),
-	}
-	if cfg.BranchPredictor == "gshare" {
-		c.bp = predictor.NewBranch(16, 12)
-	} else {
-		c.bp = predictor.NewTAGE()
-	}
+	c := newWarmable(cfg, gen, cfg.Mem)
+	c.ss = predictor.NewStoreSets(10)
+	c.rob = make([]entry, cfg.ROBSize)
+	c.rs = make([]rsRef, 0, cfg.RSSize)
+	c.lq = newLSQIndex(cfg.LQSize)
+	c.sq = newLSQIndex(cfg.SQSize)
 	if cfg.RFP.Enabled {
-		c.pf = rfp.NewPrefetcher(cfg.RFP, 0x5EED0F9F)
 		c.rfpQ = rfp.NewQueue(cfg.RFP.QueueSize)
 		// The criticality estimator serves two masters: the CriticalOnly
 		// injection filter and the CLP contested-port gate. Either knob
@@ -182,16 +168,7 @@ func New(cfg config.Core, gen isa.Generator) *Core {
 			c.clp = predictor.NewCLP(12, stats.NumLevels)
 		}
 	}
-	switch cfg.VP.Mode {
-	case config.VPEVES:
-		c.eves = vp.NewEVES(cfg.VP, 11)
-	case config.VPDLVP:
-		c.dlvp = vp.NewDLVP(cfg.VP, 12)
-	case config.VPComposite:
-		c.eves = vp.NewEVES(cfg.VP, 11)
-		c.dlvp = vp.NewDLVP(cfg.VP, 12)
-	case config.VPEPP:
-		c.dlvp = vp.NewDLVP(cfg.VP, 12)
+	if cfg.VP.Mode == config.VPEPP {
 		// 16 Kbit filter cleared every 2K stores: ~6% false-positive
 		// rate, matching the "small fraction of loads re-executed at
 		// retirement" the paper attributes to EPP.
@@ -210,6 +187,54 @@ func New(cfg config.Core, gen isa.Generator) *Core {
 	}
 	for p := isa.NumFPRegs; p < cfg.FPPRF; p++ {
 		c.freeFP = append(c.freeFP, int32(p))
+	}
+	return c
+}
+
+// NewFunctional builds a core that holds only what functional warming
+// writes: the caches and DTLB (without a hardware prefetcher), the
+// branch, hit/miss, RFP and value predictors, and the checker's store
+// shadow. It supports WarmCaches, FastForward and Fork, and nothing that
+// cycle-simulates: Run and Warmup return an error. Sampled replay
+// fast-forwards one such core per job and forks a full core (New) at
+// every simulation point, which keeps the core that stays live between
+// points small. The config must Validate, as for New.
+func NewFunctional(cfg config.Core, gen isa.Generator) *Core {
+	m := cfg.Mem
+	m.Prefetcher, m.HWPrefetch = "", false
+	return newWarmable(cfg, gen, m)
+}
+
+// newWarmable builds the part of a core that WarmCaches and FastForward
+// train, with its hierarchy built from memCfg.
+func newWarmable(cfg config.Core, gen isa.Generator, memCfg config.MemConfig) *Core {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	st := &stats.Sim{}
+	c := &Core{
+		cfg:  cfg,
+		gen:  gen,
+		st:   st,
+		hier: mem.NewHierarchy(memCfg, cfg.Oracle, st),
+		hm:   predictor.NewHitMiss(12),
+	}
+	if cfg.BranchPredictor == "gshare" {
+		c.bp = predictor.NewBranch(16, 12)
+	} else {
+		c.bp = predictor.NewTAGE()
+	}
+	if cfg.RFP.Enabled {
+		c.pf = rfp.NewPrefetcher(cfg.RFP, 0x5EED0F9F)
+	}
+	switch cfg.VP.Mode {
+	case config.VPEVES:
+		c.eves = vp.NewEVES(cfg.VP, 11)
+	case config.VPDLVP, config.VPEPP:
+		c.dlvp = vp.NewDLVP(cfg.VP, 12)
+	case config.VPComposite:
+		c.eves = vp.NewEVES(cfg.VP, 11)
+		c.dlvp = vp.NewDLVP(cfg.VP, 12)
 	}
 	if cfg.Checks.Enabled {
 		c.chk = newChecker(true)
@@ -245,6 +270,9 @@ const ctxCheckInterval = 1024
 // error if the pipeline wedges (a model bug) — detected as a long streak of
 // cycles without any commit.
 func (c *Core) Run(ctx context.Context, n uint64) (*stats.Sim, error) {
+	if c.rob == nil {
+		return c.st, errors.New("core: a NewFunctional core cannot cycle-simulate; run a Fork of it")
+	}
 	target := c.committed + n
 	lastCommitted := c.committed
 	idle := 0
@@ -310,8 +338,9 @@ type footprinter interface {
 // contents a long-running program would have: the state a line-by-line
 // sweep of every region, in order, would leave. Regions larger than a
 // cache level only keep their tail resident, just as a real scan would
-// leave them. Call it straight after New, before anything touches the
-// hierarchy (mem.Hierarchy.WarmRegions panics on a warm one).
+// leave them. Call it straight after New or NewFunctional, before
+// anything touches the hierarchy (mem.Hierarchy.WarmRegions panics on a
+// warm one).
 func (c *Core) WarmCaches() {
 	if g, ok := c.gen.(footprinter); ok {
 		c.hier.WarmRegions(g.FootprintRegions())

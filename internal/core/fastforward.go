@@ -46,7 +46,9 @@ func (c *Core) FastForward(ctx context.Context, n uint64) error {
 	if c.cycle != 0 || c.robCount != 0 || c.fetchQLen() != 0 || c.nextSeq != 0 {
 		return fmt.Errorf("core: FastForward called on a core that already simulated (cycle %d)", c.cycle)
 	}
-	var op isa.MicroOp
+	// The scratch uop lives on the Core, as in fetch: a local would escape
+	// through the Generator interface call and heap-allocate.
+	op := &c.fetchOp
 	for i := uint64(0); i < n; i++ {
 		if i%ffCtxCheckUops == 0 {
 			select {
@@ -55,7 +57,7 @@ func (c *Core) FastForward(ctx context.Context, n uint64) error {
 			default:
 			}
 		}
-		if !genNext(c, &op) {
+		if !genNext(c, op) {
 			return fmt.Errorf("core: workload ended %d uops into a %d-uop fast-forward", i, n)
 		}
 		switch {

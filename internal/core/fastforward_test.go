@@ -7,6 +7,7 @@ import (
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/isa"
+	"rfpsim/internal/stats"
 	"rfpsim/internal/trace"
 )
 
@@ -99,4 +100,69 @@ func (g *boundedGen) Next(op *isa.MicroOp) bool {
 	}
 	g.n++
 	return g.inner.Next(op)
+}
+
+// TestForkPreconditionsAndIndependence: Fork refuses a core that has
+// simulated and a generator that cannot be cloned; a fork runs on its
+// own statistics block and leaves its source able to fast-forward on.
+func TestForkPreconditionsAndIndependence(t *testing.T) {
+	spec, ok := trace.ByName("spec06_gcc")
+	if !ok {
+		t.Fatal("catalog workload spec06_gcc missing")
+	}
+	ctx := context.Background()
+	cfg := config.Baseline().WithCLP().WithPrefetcher("managed")
+
+	c := New(cfg, spec.New())
+	c.WarmCaches()
+	if err := c.FastForward(ctx, 5000); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.RetiredStreamPos(); got != 5000 {
+		t.Fatalf("fork starts at stream position %d, want 5000", got)
+	}
+	if _, err := f.Run(ctx, 3000); err != nil {
+		t.Fatal(err)
+	}
+	if *c.Stats() != (stats.Sim{}) {
+		t.Fatal("running the fork changed its source's statistics")
+	}
+	if f.Stats().L1Accesses == 0 {
+		t.Fatal("the fork's hierarchy does not count into the fork's statistics")
+	}
+	if err := c.FastForward(ctx, 1000); err != nil {
+		t.Fatalf("source cannot fast-forward after forking: %v", err)
+	}
+	if _, err := f.Fork(); err == nil || !strings.Contains(err.Error(), "already simulated") {
+		t.Fatalf("Fork of a simulated core: err = %v", err)
+	}
+
+	one := New(cfg, &loopGen{name: "unforkable", body: []isa.MicroOp{alu(0x10, 1, 1, isa.NoReg)}})
+	if _, err := one.Fork(); err == nil || !strings.Contains(err.Error(), "not forkable") {
+		t.Fatalf("Fork over an uncloneable generator: err = %v", err)
+	}
+
+	// A functional core warms and forks but never cycle-simulates.
+	fc := NewFunctional(cfg, spec.New())
+	fc.WarmCaches()
+	if err := fc.FastForward(ctx, 5000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fc.Run(ctx, 100); err == nil || !strings.Contains(err.Error(), "cannot cycle-simulate") {
+		t.Fatalf("Run on a functional core: err = %v", err)
+	}
+	ff, err := fc.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ff.Run(ctx, 3000); err != nil {
+		t.Fatalf("fork of a functional core: %v", err)
+	}
+	if *ff.Stats() != *f.Stats() {
+		t.Fatal("forks of a functional and a full core at the same point differ")
+	}
 }

@@ -71,6 +71,42 @@ func TestStepZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFastForwardZeroAllocs extends the zero-alloc contract to functional
+// warming: once a 50K-uop fast-forward has grown the generator's and the
+// predictors' state to steady size, a further 10K-uop FastForward
+// allocates nothing. Sampled replay fast-forwards every job, so a
+// per-call or per-uop allocation here is paid on every sampled point.
+func TestFastForwardZeroAllocs(t *testing.T) {
+	for _, cfg := range []config.Core{
+		config.Baseline(),
+		config.Baseline().WithCLP().WithPrefetcher("managed"),
+		config.Baseline().WithVP(config.VPEVES),
+	} {
+		for _, name := range []string{"spec06_mcf", "spec06_gcc", "tpce"} {
+			t.Run(name+"/"+cfg.Name, func(t *testing.T) {
+				spec, ok := trace.ByName(name)
+				if !ok {
+					t.Fatalf("%s missing from catalog", name)
+				}
+				c := New(cfg, spec.New())
+				c.WarmCaches()
+				ctx := context.Background()
+				if err := c.FastForward(ctx, 50000); err != nil {
+					t.Fatal(err)
+				}
+				avg := testing.AllocsPerRun(5, func() {
+					if err := c.FastForward(ctx, 10000); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if avg != 0 {
+					t.Errorf("FastForward allocated %.1f times per 10000 uops, want 0", avg)
+				}
+			})
+		}
+	}
+}
+
 // TestTraceUopLazyWhenDetached pins the fix for the disabled-pipeTrace
 // allocation bug: traceUop (and therefore its fmt.Sprintf) must never run
 // while no trace is attached. The counter is the regression tripwire — an

@@ -191,6 +191,24 @@ type Generator interface {
 	Name() string
 }
 
+// Cloner is implemented by generators whose position can be forked.
+// Clone returns an independent generator that produces the same remaining
+// stream as the receiver, sharing no mutable state with it, or nil when
+// this particular instance cannot be cloned (a trace reader over a
+// non-rewindable stream).
+type Cloner interface {
+	Clone() Generator
+}
+
+// Clone returns an independent copy of g at its current position, or nil
+// when g cannot be cloned.
+func Clone(g Generator) Generator {
+	if c, ok := g.(Cloner); ok {
+		return c.Clone()
+	}
+	return nil
+}
+
 // PageSize is the virtual memory page size assumed throughout (4 KiB).
 const PageSize = 4096
 

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -170,5 +172,49 @@ func TestTLBHitMissAndLRU(t *testing.T) {
 	tlb.Insert(10)
 	if !tlb.Lookup(2) {
 		t.Error("refreshed page evicted")
+	}
+}
+
+// TestCacheStampWrapKeepsReplacement: when the 32-bit stamps run out,
+// renumbering keeps every replacement decision. Two caches see the same
+// random fills and lookups; one has its stamp counter pushed just below
+// the wrap (twice, so the second renumber starts from a full cache), the
+// other never wraps.
+func TestCacheStampWrapKeepsReplacement(t *testing.T) {
+	ref, wrap := NewCache(4, 4), NewCache(4, 4)
+	rng := rand.New(rand.NewPCG(7, 11))
+	const lines = 48
+	for step := 0; step < 6000; step++ {
+		if step == 0 || step == 3000 {
+			wrap.stamp = math.MaxUint32 - 40 // forward only, so order is kept
+		}
+		addr := uint64(rng.IntN(lines)) * isa.CacheLineSize
+		switch rng.IntN(3) {
+		case 0:
+			if a, b := ref.Lookup(addr), wrap.Lookup(addr); a != b {
+				t.Fatalf("step %d: Lookup %v vs %v", step, a, b)
+			}
+		case 1:
+			pf := rng.IntN(2) == 0
+			ref.fill(addr, pf)
+			wrap.fill(addr, pf)
+		default:
+			ha, pa := ref.LookupConsume(addr)
+			hb, pb := wrap.LookupConsume(addr)
+			if ha != hb || pa != pb {
+				t.Fatalf("step %d: LookupConsume (%v,%v) vs (%v,%v)", step, ha, pa, hb, pb)
+			}
+		}
+		for l := uint64(0); l < lines; l++ {
+			if a, b := ref.Contains(l*isa.CacheLineSize), wrap.Contains(l*isa.CacheLineSize); a != b {
+				t.Fatalf("step %d: line %d resident %v without wrap, %v with", step, l, a, b)
+			}
+		}
+	}
+	if a, b := ref.TakePFUnused(), wrap.TakePFUnused(); a != b {
+		t.Fatalf("unused prefetches %d without wrap, %d with", a, b)
+	}
+	if wrap.stamp > 10000 {
+		t.Fatalf("stamp %d: the counter never wrapped", wrap.stamp)
 	}
 }

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"fmt"
+	"math"
+
 	"rfpsim/internal/config"
 	"rfpsim/internal/isa"
 	"rfpsim/internal/stats"
@@ -298,10 +301,23 @@ func (h *Hierarchy) Warm(addr uint64) {
 	h.tlb.Insert(isa.PageFrame(addr))
 }
 
+// CopyWarmState makes h's L1, L2, LLC and DTLB arrays and their stamps
+// a copy of src's: everything Warm and WarmRegions write. The two
+// hierarchies must share a geometry. Core.Fork uses it on a hierarchy
+// that has only been warmed, so the MSHR list and the hardware prefetcher
+// are still as NewHierarchy built them on both sides and stay h's own.
+func (h *Hierarchy) CopyWarmState(src *Hierarchy) {
+	h.l1.copyFrom(src.l1)
+	h.l2.copyFrom(src.l2)
+	h.llc.copyFrom(src.llc)
+	h.tlb.copyFrom(src.tlb)
+}
+
 // WarmRegions leaves the hierarchy in the state that calling Warm on
 // base, base+64, ... below base+size, region by region in order, would
 // leave it in, without replaying that sweep. The hierarchy must be cold
-// (freshly built and never accessed); WarmRegions panics otherwise.
+// (freshly built and never accessed), and the sweep no longer than the
+// 32-bit cache stamps can number; WarmRegions panics otherwise.
 //
 // Between warming fills there are no lookups, so each true-LRU set ends
 // up holding the last ways distinct lines that map to it, each stamped
@@ -314,7 +330,7 @@ func (h *Hierarchy) Warm(addr uint64) {
 // LLC's capacity plus duplicates for a contiguous sweep, and never more
 // lines than the forward sweep would.
 func (h *Hierarchy) WarmRegions(regions [][2]uint64) {
-	if h.l1.stamp|h.l2.stamp|h.llc.stamp|h.tlb.stamp != 0 {
+	if h.l1.stamp|h.l2.stamp|h.llc.stamp != 0 || h.tlb.stamp != 0 {
 		panic("mem: WarmRegions on a hierarchy that is not cold")
 	}
 	caches := [...]*Cache{h.l1, h.l2, h.llc}
@@ -322,9 +338,12 @@ func (h *Hierarchy) WarmRegions(regions [][2]uint64) {
 	for _, r := range regions {
 		n += sweepLines(r[1])
 	}
+	if n > math.MaxUint32 {
+		panic(fmt.Sprintf("mem: WarmRegions over %d lines exceeds the 32-bit cache stamps", n))
+	}
 	var free [len(caches) + 1]int // empty ways per cache level, then the DTLB
 	for i, c := range caches {
-		free[i] = len(c.lines)
+		free[i] = len(c.keys)
 	}
 	free[len(caches)] = len(h.tlb.entries)
 	open := len(free)
@@ -343,7 +362,7 @@ func (h *Hierarchy) WarmRegions(regions [][2]uint64) {
 			line := isa.LineAddr(addr)
 			for j, c := range caches {
 				if free[j] > 0 {
-					take(j, c.fillCold(line, lru))
+					take(j, c.fillCold(line, uint32(lru)))
 				}
 			}
 			if free[len(caches)] > 0 {
@@ -353,7 +372,7 @@ func (h *Hierarchy) WarmRegions(regions [][2]uint64) {
 		}
 	}
 	for _, c := range caches {
-		c.stamp = n
+		c.stamp = uint32(n)
 	}
 	h.tlb.stamp = n
 }

@@ -81,6 +81,13 @@ func (t *TLB) Insert(page uint64) {
 	set[victim] = tlbEntry{page: page, valid: true, lru: t.stamp}
 }
 
+// copyFrom copies src's entries and stamp into t, which must have the
+// same geometry.
+func (t *TLB) copyFrom(src *TLB) {
+	copy(t.entries, src.entries)
+	t.stamp = src.stamp
+}
+
 // fillCold is Cache.fillCold for a page translation.
 func (t *TLB) fillCold(page, lru uint64) bool {
 	set := t.setFor(page)

@@ -33,9 +33,9 @@ type wayState struct {
 func cacheSets(c *Cache) [][]wayState {
 	out := make([][]wayState, c.sets)
 	for s := range out {
-		for _, l := range c.lines[s*c.ways : (s+1)*c.ways] {
-			if l.valid {
-				out[s] = append(out[s], wayState{l.tag, l.lru, l.pf})
+		for i := s * c.ways; i < (s+1)*c.ways; i++ {
+			if k := c.keys[i]; k != 0 {
+				out[s] = append(out[s], wayState{k >> 2, uint64(c.lrus[i]), k&linePF != 0})
 			}
 		}
 		slices.SortFunc(out[s], func(a, b wayState) int { return cmp.Compare(a.tag, b.tag) })

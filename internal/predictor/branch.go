@@ -58,6 +58,13 @@ func NewBranch(tableBits, historyBits uint) *Branch {
 	return b
 }
 
+// CopyFrom makes b a copy of src, which must have the same geometry; b
+// keeps its own counter storage.
+func (b *Branch) CopyFrom(src *Branch) {
+	b.history = src.history
+	copy(b.counters, src.counters)
+}
+
 func (b *Branch) index(pc uint64) uint64 {
 	h := pc ^ (pc >> 13) ^ (b.history & b.historyMask)
 	return (h ^ bits.RotateLeft64(h, 17)) & b.tableMask
@@ -115,6 +122,10 @@ func NewHitMiss(tableBits uint) *HitMiss {
 	}
 	return h
 }
+
+// CopyFrom makes h a copy of src, which must have the same geometry; h
+// keeps its own counter storage.
+func (h *HitMiss) CopyFrom(src *HitMiss) { copy(h.counters, src.counters) }
 
 func (h *HitMiss) index(pc uint64) uint64 { return (pc ^ pc>>11) & h.mask }
 

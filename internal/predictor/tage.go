@@ -84,6 +84,19 @@ func NewTAGE() *TAGE {
 	return t
 }
 
+// CopyFrom makes t a copy of src: tables, history, the alt-on-new-alloc
+// counter, the pending prediction and the allocation tick. Both must come
+// from NewTAGE; t keeps its own table storage.
+func (t *TAGE) CopyFrom(src *TAGE) {
+	base, tables := t.base, t.tables
+	*t = *src
+	t.base, t.tables = base, tables
+	copy(t.base, src.base)
+	for i := range t.tables {
+		copy(t.tables[i].entries, src.tables[i].entries)
+	}
+}
+
 // foldHistory compresses len bits of history into width bits.
 func foldHistory(h uint64, length, width uint) uint64 {
 	if length > 64 {

@@ -42,6 +42,13 @@ func NewPAT(entries, ways int) *PAT {
 	return &PAT{sets: entries / ways, ways: ways, entries: make([]patEntry, entries)}
 }
 
+// copyFrom copies src's entries and stamp into p, which must have the
+// same geometry.
+func (p *PAT) copyFrom(src *PAT) {
+	copy(p.entries, src.entries)
+	p.stamp = src.stamp
+}
+
 func (p *PAT) setFor(frame uint64) int { return int(frame % uint64(p.sets)) }
 
 // LookupOrInsert returns the index of the entry holding frame, installing

@@ -44,6 +44,17 @@ func (p *Prefetcher) Commit(pc, path, addr uint64) {
 	}
 }
 
+// CopyFrom makes p a copy of src's trained state: the prefetch table with
+// its PAT and confidence rng, and the context predictor. Both must be
+// built from the same configuration; p keeps its own storage, and its rng
+// is a copy of src's, not shared with it.
+func (p *Prefetcher) CopyFrom(src *Prefetcher) {
+	p.table.copyFrom(src.table)
+	if p.ctx != nil {
+		copy(p.ctx.entries, src.ctx.entries)
+	}
+}
+
 // Squash releases the in-flight slot of a squashed load.
 func (p *Prefetcher) Squash(pc uint64) { p.table.Squash(pc) }
 

@@ -87,6 +87,17 @@ func NewTable(cfg config.RFPConfig, seed uint64) *Table {
 	return t
 }
 
+// copyFrom copies src's entries, PAT, rng state, stamp and in-flight
+// bookkeeping into t, which must share its configuration.
+func (t *Table) copyFrom(src *Table) {
+	copy(t.entries, src.entries)
+	if t.pat != nil {
+		t.pat.copyFrom(src.pat)
+	}
+	*t.rng = *src.rng
+	t.stamp, t.inflightDebt, t.underflows = src.stamp, src.inflightDebt, src.underflows
+}
+
 func (t *Table) setFor(pc uint64) int { return int((pc >> 2) % uint64(t.sets)) }
 
 func (t *Table) tagFor(pc uint64) uint16 {

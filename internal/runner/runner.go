@@ -30,6 +30,35 @@ import (
 // always simulates the same replica set.
 const SeedStride = 0x9E3779B97F4A7C15
 
+// Measure runs a prepared core (built, cache-warmed and fast-forwarded)
+// through job's cycle-accurate warmup, its AfterWarmup hook and its
+// measured window, and returns the core's statistics for that window. It
+// bills the warmup and measure stages to the context's timings collector.
+// Run uses it for every replica, and sampled replay (internal/sample) for
+// every simulation point. An error names the stage that failed.
+func Measure(ctx context.Context, c *core.Core, job Job) (*stats.Sim, error) {
+	tim := obs.ContextTimings(ctx)
+	begin := time.Now()
+	if err := c.Warmup(ctx, job.WarmupUops); err != nil {
+		return nil, fmt.Errorf("warmup: %w", err)
+	}
+	if tim != nil {
+		tim.Observe(obs.StageWarmup, time.Since(begin))
+	}
+	if job.AfterWarmup != nil {
+		job.AfterWarmup(c)
+	}
+	begin = time.Now()
+	st, err := c.Run(ctx, job.MeasureUops)
+	if err != nil {
+		return nil, fmt.Errorf("measure: %w", err)
+	}
+	if tim != nil {
+		tim.Observe(obs.StageMeasure, time.Since(begin))
+	}
+	return st, nil
+}
+
 // Job describes one deterministic simulation unit.
 type Job struct {
 	// Config is the core configuration to simulate.
@@ -46,15 +75,12 @@ type Job struct {
 	// identical uop stream (uploaded traces re-decoded from bytes). Unlike
 	// the one-shot Gen it survives multiple runs, so sampled execution
 	// (internal/sample) can profile the stream and then replay intervals.
-	// Seed perturbation is meaningless for a fixed stream, so NewGen still
-	// requires Seeds <= 1, and at most one of Gen/NewGen may be set.
+	// A sampled job also needs the generators to be forkable (isa.Cloner,
+	// as a tracefile.Reader over a *bytes.Reader is): replay fast-forwards
+	// one generator and clones it at every interval. Seed perturbation is
+	// meaningless for a fixed stream, so NewGen still requires Seeds <= 1,
+	// and at most one of Gen/NewGen may be set.
 	NewGen func() isa.Generator
-	// FastForwardUops functionally consumes this many uops before the
-	// cycle-accurate warmup, training long-lived predictors and warming
-	// caches without simulating timing (core.FastForward). Sampled replay
-	// (internal/sample) uses it to reach an interval deep in the stream
-	// with full-run-equivalent predictor state at a fraction of the cost.
-	FastForwardUops uint64
 	// WarmupUops runs (and discards) this many uops before measuring.
 	WarmupUops uint64
 	// MeasureUops is the measured window length. Run rejects 0: a job
@@ -167,24 +193,11 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 		if !job.ColdCaches {
 			c.WarmCaches()
 		}
-		if err := c.FastForward(ctx, job.FastForwardUops); err != nil {
-			return nil, fmt.Errorf("runner: %s seed %d fast-forward: %w", job.Spec.Name, s, err)
-		}
 		observe(obs.StageFastForward, begin)
-		begin = time.Now()
-		if err := c.Warmup(ctx, job.WarmupUops); err != nil {
-			return nil, fmt.Errorf("runner: %s seed %d warmup: %w", job.Spec.Name, s, err)
-		}
-		observe(obs.StageWarmup, begin)
-		if job.AfterWarmup != nil {
-			job.AfterWarmup(c)
-		}
-		begin = time.Now()
-		st, err := c.Run(ctx, job.MeasureUops)
+		st, err := Measure(ctx, c, job)
 		if err != nil {
-			return nil, fmt.Errorf("runner: %s seed %d: %w", job.Spec.Name, s, err)
+			return nil, fmt.Errorf("runner: %s seed %d %w", job.Spec.Name, s, err)
 		}
-		observe(obs.StageMeasure, begin)
 		begin = time.Now()
 		stats.Accumulate(total, st)
 		observe(obs.StageAggregate, begin)

@@ -1,8 +1,9 @@
 // Package sample implements SimPoint-style sampled simulation: a cheap
 // functional pass over a workload's uop stream collects per-interval
 // basic-block vectors, a deterministic k-means clusterer picks a handful
-// of representative intervals plus weights, and a replay planner turns a
-// runner.Job into warmup+measure sub-jobs at those intervals whose
+// of representative intervals plus weights, and a one-pass replay
+// fast-forwards one core through the job's stream and forks it at each of
+// those intervals for a cycle-accurate warmup and measure, whose
 // statistics are cluster-weight scaled into a full-window estimate. The
 // point is to cut cycle-simulated work by ~5x and more while staying
 // within a couple of percent of the full-run IPC, which is what makes

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"rfpsim/internal/core"
+	"rfpsim/internal/isa"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
 	"rfpsim/internal/stats"
@@ -45,11 +47,14 @@ func Normalized(sp runner.Sampling) runner.Sampling {
 	return sp
 }
 
-// Validate rejects sampled jobs that cannot be executed: sampling needs a
-// re-instantiable uop source — a catalog workload or a NewGen factory —
-// because the profiling pass and every replayed interval instantiate
-// fresh generators; plus a single seed, a sane interval length and a
-// positive representative budget.
+// Validate rejects sampled jobs that cannot be executed. Sampling needs a
+// re-instantiable, forkable uop source: the profiling pass reads the
+// stream from a fresh generator, and replay fast-forwards a second one
+// and forks it at every simulation point (core.Fork). A catalog workload
+// is forkable; a NewGen factory must return generators that implement
+// isa.Cloner, as a tracefile.Reader over a *bytes.Reader does. Validate
+// also wants a single seed, a sane interval length and a non-negative
+// representative budget.
 func Validate(job runner.Job) error {
 	if job.Sampling == nil {
 		return nil
@@ -57,7 +62,9 @@ func Validate(job runner.Job) error {
 	sp := Normalized(*job.Sampling)
 	switch {
 	case job.Gen != nil:
-		return errors.New("sample: sampling needs a re-instantiable uop source (a catalog workload or a NewGen factory), not a one-shot generator")
+		return errors.New("sample: sampling needs a re-instantiable, forkable uop source (a catalog workload or a NewGen factory), not a one-shot generator")
+	case job.NewGen != nil && isa.Clone(job.NewGen()) == nil:
+		return errors.New("sample: sampling needs a forkable uop source, but the NewGen factory's generator cannot be cloned (a trace must be decoded from in-memory bytes)")
 	case job.Seeds > 1:
 		return fmt.Errorf("sample: sampling supports a single seed, got Seeds=%d", job.Seeds)
 	case job.Sampling.MaxK < 0:
@@ -136,50 +143,78 @@ func RunResult(ctx context.Context, job runner.Job) (Result, error) {
 		"workload", job.Spec.Name, "points", len(plan.Points),
 		"intervals", plan.Intervals, "error_bound", plan.ErrorBound)
 
-	// Phase 3: weighted replay. Each representative becomes a sub-job:
-	// functionally warm up to shortly before the interval
-	// (core.FastForward trains predictors and caches over the skipped
-	// prefix, so the interval sees near-full-run predictor state), warm
-	// up cycle-accurately for sp.WarmupUops, measure one interval, scale
-	// by the cluster weight. All-or-nothing like runner.Run: any failed
-	// point discards the whole result.
+	// Phase 3: weighted replay of the plan's points in one pass (replay),
+	// scaling each by its cluster weight in plan order. All-or-nothing
+	// like runner.Run: any failed point discards the whole result.
 	total := &stats.Sim{}
-	for _, pt := range plan.Points {
-		st, err := replayPoint(ctx, job, sp, pt)
-		if err != nil {
-			return Result{}, err
-		}
-		begin = time.Now()
+	err = replay(ctx, job, sp, plan.Points, func(pt Point, st *stats.Sim) {
+		begin := time.Now()
 		stats.Scale(st, pt.Weight)
 		stats.Accumulate(total, st)
 		if tim != nil {
 			tim.Observe(obs.StageAggregate, time.Since(begin))
 		}
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{Stats: total, Plan: plan}, nil
 }
 
-// replayPoint cycle-simulates one representative interval.
-func replayPoint(ctx context.Context, job runner.Job, sp runner.Sampling, pt Point) (*stats.Sim, error) {
-	start := job.WarmupUops + uint64(pt.Index)*sp.IntervalUops
-	warm := sp.WarmupUops
-	if warm > start {
-		warm = start // the stream has no history to warm up on
+// replay cycle-simulates every point, which must be in window order, and
+// hands each point's statistics to done in that order. It builds and
+// cache-warms one functional core (core.NewFunctional) and fast-forwards
+// it through the stream once (core.FastForward trains predictors and
+// caches over the skipped prefix, so each interval sees near-full-run
+// predictor state). At each point it forks that core (core.Fork) and runs
+// the point's cycle-accurate warmup of sp.WarmupUops and its one measured
+// interval on the fork. So at most two cores are live, and one of them
+// holds only the warmed state. Building, warming, fast-forwarding and
+// forking are billed to the fastforward stage.
+//
+// A fork equals a core fast-forwarded from uop 0 to the same point,
+// because FastForward(a) then FastForward(b) leaves the state
+// FastForward(a+b) does and Fork copies all of it; see "Sampled replay
+// forks" in docs/architecture.md.
+func replay(ctx context.Context, job runner.Job, sp runner.Sampling, points []Point, done func(Point, *stats.Sim)) error {
+	tim := obs.ContextTimings(ctx)
+	begin := time.Now()
+	var gen isa.Generator
+	if job.NewGen != nil {
+		gen = job.NewGen()
+	} else {
+		gen = job.Spec.New()
 	}
-	sub := runner.Job{
-		Config:          job.Config,
-		Spec:            job.Spec,
-		NewGen:          job.NewGen,
-		FastForwardUops: start - warm,
-		WarmupUops:      warm,
-		MeasureUops:     sp.IntervalUops,
-		Seeds:           1,
-		ColdCaches:      job.ColdCaches,
-		AfterWarmup:     job.AfterWarmup,
+	base := core.NewFunctional(job.Config, gen)
+	if !job.ColdCaches {
+		base.WarmCaches()
 	}
-	st, err := runner.Run(ctx, sub)
-	if err != nil {
-		return nil, fmt.Errorf("sample: %s interval %d: %w", job.Spec.Name, pt.Index, err)
+	for _, pt := range points {
+		start := job.WarmupUops + uint64(pt.Index)*sp.IntervalUops
+		warm := min(sp.WarmupUops, start) // the stream has no history before uop 0
+		fail := func(err error) error {
+			return fmt.Errorf("sample: %s interval %d: %w", job.Spec.Name, pt.Index, err)
+		}
+		if err := base.FastForward(ctx, start-warm-base.RetiredStreamPos()); err != nil {
+			return fail(err)
+		}
+		c, err := base.Fork()
+		if err != nil {
+			return fail(err)
+		}
+		if tim != nil {
+			tim.Observe(obs.StageFastForward, time.Since(begin))
+		}
+		st, err := runner.Measure(ctx, c, runner.Job{
+			WarmupUops:  warm,
+			MeasureUops: sp.IntervalUops,
+			AfterWarmup: job.AfterWarmup,
+		})
+		if err != nil {
+			return fail(err)
+		}
+		done(pt, st)
+		begin = time.Now()
 	}
-	return st, nil
+	return nil
 }

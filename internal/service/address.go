@@ -100,9 +100,10 @@ func resolveRequest(req SimRequest) (*resolvedJob, error) {
 	rj.job.ColdCaches = req.ColdCaches
 	rj.job.Sampling = req.Sampling.toRunner()
 	if req.Sampling != nil {
-		// Trace-sourced jobs sample too: execution attaches a NewGen
-		// factory that re-decodes the stored bytes, which is exactly the
-		// re-instantiable stream sampling needs (internal/sample).
+		// Trace-sourced jobs sample too: attachTraceGen attaches a NewGen
+		// factory that re-decodes the stored bytes, which is the
+		// re-instantiable, forkable stream sampling needs
+		// (internal/sample), and validates again once it is attached.
 		if err := sample.Validate(rj.job); err != nil {
 			return nil, err
 		}
@@ -183,10 +184,12 @@ func (rj *resolvedJob) loadTrace(traces *TraceStore) error {
 }
 
 // attachTraceGen validates raw once and attaches a re-instantiable
-// generator factory: every call re-decodes the same bytes, so sampled
-// execution can profile the stream and then replay intervals, and seed
-// replicas are structurally impossible (the runner rejects NewGen with
-// Seeds > 1).
+// generator factory: every call re-decodes the same bytes, and each
+// reader decodes them in place and so is forkable, so sampled execution
+// can profile the stream and then fork a replay core at every interval.
+// Seed replicas are structurally impossible (the runner rejects NewGen
+// with Seeds > 1). A sampled job is re-validated with the factory
+// attached, so a source sampling cannot fork fails here, at resolve time.
 func attachTraceGen(job *runner.Job, raw []byte) error {
 	name := job.Spec.Name
 	if _, err := tracefile.NewReader(bytes.NewReader(raw), name); err != nil {
@@ -200,7 +203,7 @@ func attachTraceGen(job *runner.Job, raw []byte) error {
 		}
 		return r
 	}
-	return nil
+	return sample.Validate(*job)
 }
 
 // ContentAddress returns the daemon's cache key for a request: the SHA-256

@@ -22,6 +22,8 @@
 package trace
 
 import (
+	"maps"
+
 	"rfpsim/internal/isa"
 	"rfpsim/internal/prng"
 )
@@ -30,7 +32,22 @@ import (
 type kernel interface {
 	// emit appends one iteration of uops via e.
 	emit(e *emitter)
+	// clone returns an independent copy of the kernel's iteration state.
+	clone() kernel
 }
+
+// Every kernel holds only plain values, so a shallow struct copy is a
+// deep one.
+func (k *streamKernel) clone() kernel    { c := *k; return &c }
+func (k *chaseKernel) clone() kernel     { c := *k; return &c }
+func (k *randChaseKernel) clone() kernel { c := *k; return &c }
+func (k *gatherKernel) clone() kernel    { c := *k; return &c }
+func (k *stencilKernel) clone() kernel   { c := *k; return &c }
+func (k *fpKernel) clone() kernel        { c := *k; return &c }
+func (k *branchyKernel) clone() kernel   { c := *k; return &c }
+func (k *stackKernel) clone() kernel     { c := *k; return &c }
+func (k *searchKernel) clone() kernel    { c := *k; return &c }
+func (k *hashKernel) clone() kernel      { c := *k; return &c }
 
 // emitter appends uops to the generator's pending queue on behalf of one
 // kernel instance. Each instance owns a PC region (so static load PCs are
@@ -121,6 +138,14 @@ func newValueModel(constFrac, strideFrac float64) *valueModel {
 		constFrac: constFrac,
 		strideVal: strideFrac,
 	}
+}
+
+// clone deep-copies the per-PC value state.
+func (v *valueModel) clone() *valueModel {
+	c := *v
+	c.classes = maps.Clone(v.classes)
+	c.next = maps.Clone(v.next)
+	return &c
 }
 
 func (v *valueModel) valueFor(pc, addr uint64, rng *prng.Source) uint64 {

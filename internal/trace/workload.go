@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rfpsim/internal/isa"
@@ -329,6 +330,27 @@ func (g *generator) Next(op *isa.MicroOp) bool {
 	op.Seq = g.seq
 	g.seq++
 	return true
+}
+
+// Clone implements isa.Cloner: the copy resumes the stream at the same
+// uop. Kernels, the pending queue, the schedule position, the rng and the
+// value model are copied; the emitters are rebuilt to point at the copy.
+// The schedule and the regions never change after construction, so they
+// are shared.
+func (g *generator) Clone() isa.Generator {
+	c := *g
+	rng := *g.rng
+	c.rng = &rng
+	c.queue = slices.Clone(g.queue)
+	c.kernels = make([]weightedKernel, len(g.kernels))
+	// Every emitter shares the generator's rng and its one value model.
+	vals := g.kernels[0].e.vals.clone()
+	for i, wk := range g.kernels {
+		e := *wk.e
+		e.g, e.rng, e.vals = &c, c.rng, vals
+		c.kernels[i] = weightedKernel{k: wk.k.clone(), e: &e, w: wk.w}
+	}
+	return &c
 }
 
 // pick selects the next kernel instance from the fixed weighted

@@ -18,6 +18,7 @@ package tracefile
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -136,7 +137,7 @@ func (t *Writer) Flush() error {
 
 // Reader decodes a trace file and implements isa.Generator.
 type Reader struct {
-	r    *bufio.Reader
+	r    byteReader
 	name string
 	seq  uint64
 	err  error
@@ -147,9 +148,23 @@ type Reader struct {
 	lastTarget uint64
 }
 
-// NewReader validates the header and returns a generator named name.
+// byteReader is what the decoder reads through: a buffered stream, or an
+// in-memory trace read directly.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// NewReader validates the header and returns a generator named name. A
+// *bytes.Reader is decoded in place, without a buffering layer, which
+// makes the Reader cloneable (see Clone).
 func NewReader(r io.Reader, name string) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	var br byteReader
+	if b, ok := r.(*bytes.Reader); ok {
+		br = b
+	} else {
+		br = bufio.NewReaderSize(r, 1<<16)
+	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("tracefile: reading magic: %w", err)
@@ -169,6 +184,21 @@ func NewReader(r io.Reader, name string) (*Reader, error) {
 
 // Name implements isa.Generator.
 func (t *Reader) Name() string { return t.name }
+
+// Clone implements isa.Cloner. A Reader over a *bytes.Reader clones by
+// copying the read position and the delta-decoding state; the trace bytes
+// themselves are immutable and shared. A Reader over any other stream
+// cannot rewind and returns nil.
+func (t *Reader) Clone() isa.Generator {
+	b, ok := t.r.(*bytes.Reader)
+	if !ok {
+		return nil
+	}
+	pos := *b
+	c := *t
+	c.r = &pos
+	return &c
+}
 
 // Err returns the first decode error encountered (io.EOF is not an error:
 // it is the normal end of the trace).

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"rfpsim/internal/isa"
+	"rfpsim/internal/prng"
 	"rfpsim/internal/trace"
 )
 
@@ -318,5 +319,69 @@ func TestReaderNextAfterError(t *testing.T) {
 	}
 	if r.Err() == nil {
 		t.Error("error lost")
+	}
+}
+
+// TestReaderCloneProperty: a Reader over a *bytes.Reader, cloned at a
+// random position, resumes the same stream, and drawing from the clone
+// first leaves the original untouched. A Reader over any other stream
+// cannot rewind and refuses to clone.
+func TestReaderCloneProperty(t *testing.T) {
+	spec, ok := trace.ByName("spec06_xalancbmk")
+	if !ok {
+		t.Fatal("catalog workload spec06_xalancbmk missing")
+	}
+	const total, n = 20000, 3000
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	g := spec.New()
+	var op isa.MicroOp
+	for i := 0; i < total; i++ {
+		g.Next(&op)
+		if err := w.Write(&op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+
+	rng := prng.New(0x7ACE)
+	for trial := 0; trial < 20; trial++ {
+		r, err := NewReader(bytes.NewReader(raw), "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		skip := rng.Intn(total - n)
+		for i := 0; i < skip; i++ {
+			r.Next(&op)
+		}
+		c := isa.Clone(r)
+		if c == nil {
+			t.Fatal("bytes-backed reader is not cloneable")
+		}
+		fromClone := make([]isa.MicroOp, n)
+		for i := range fromClone {
+			if !c.Next(&fromClone[i]) {
+				t.Fatalf("clone ended after %d uops", i)
+			}
+		}
+		for i := range fromClone {
+			if !r.Next(&op) {
+				t.Fatalf("original ended after %d uops", i)
+			}
+			if op != fromClone[i] {
+				t.Fatalf("clone at uop %d diverges %d uops later:\nclone:    %v\noriginal: %v", skip, i, fromClone[i], op)
+			}
+		}
+	}
+
+	streamed, err := NewReader(bytes.NewBuffer(raw), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := streamed.Clone(); c != nil {
+		t.Fatal("a reader over a non-rewindable stream cloned itself")
 	}
 }

@@ -75,6 +75,16 @@ func NewDLVP(cfg config.VPConfig, seed uint64) *DLVP {
 	}
 }
 
+// CopyFrom makes d's address table a copy of src's: entries, stamp and
+// the confidence rng (copied by value, not shared), the state TrainAddr
+// writes. The no-forward filter, trained only by the pipeline, stays d's
+// own. Both must be built from the same configuration.
+func (d *DLVP) CopyFrom(src *DLVP) {
+	copy(d.entries, src.entries)
+	*d.rng = *src.rng
+	d.stamp = src.stamp
+}
+
 func (d *DLVP) index(pc, path uint64) uint64 {
 	h := pc ^ path*0x9E3779B97F4A7C15
 	return (h ^ h>>13) % uint64(d.sets)

@@ -69,6 +69,15 @@ func NewEVES(cfg config.VPConfig, seed uint64) *EVES {
 	}
 }
 
+// CopyFrom makes v a copy of src's trained state: entries, stamp and the
+// confidence rng (copied by value, not shared). Both must be built from
+// the same configuration.
+func (v *EVES) CopyFrom(src *EVES) {
+	copy(v.entries, src.entries)
+	*v.rng = *src.rng
+	v.stamp = src.stamp
+}
+
 func (v *EVES) setFor(pc uint64) int    { return int((pc >> 2) % uint64(v.sets)) }
 func (v *EVES) tagFor(pc uint64) uint16 { return uint16((pc>>2)/uint64(v.sets)) | 1 }
 
