@@ -12,6 +12,11 @@
 //	rfpsim -workload all -diff norfp [-measure N] [-diff-interval N]
 //	rfpsim -listworkloads
 //
+// The configuration flags map onto the daemon's config spec
+// (service.ConfigSpec, docs/service.md) and build the same way: -clp
+// implies -rfp, and the RFP tuning flags (-pat, -context, -confbits,
+// -ptentries) are an error without -rfp or -clp.
+//
 // -prefetcher enables an L1 hardware cache prefetcher from the zoo
 // (docs/prefetchers.md): "stream" (sequential), "spp" (signature-path),
 // "sisb" (temporal) or "managed" (adaptive selection among the three).
@@ -47,6 +52,7 @@ import (
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
 	"rfpsim/internal/sample"
+	"rfpsim/internal/service"
 	"rfpsim/internal/stats"
 	"rfpsim/internal/trace"
 	"rfpsim/internal/tracefile"
@@ -57,24 +63,13 @@ func main() {
 		workload  = flag.String("workload", "spec06_mcf", "workload name from the Table 3 suite")
 		traceFile = flag.String("trace", "", "run from a binary trace file instead of a synthetic workload")
 		listWk    = flag.Bool("listworkloads", false, "list the 65-workload suite and exit")
-		useRFP    = flag.Bool("rfp", false, "enable Register File Prefetching")
-		usePAT    = flag.Bool("pat", false, "use the Page Address Table PT encoding")
-		useCtx    = flag.Bool("context", false, "add the path-based context prefetcher")
-		useCLP    = flag.Bool("clp", false, "cache-level-predicted RFP arming schedule (implies -rfp; docs/predictors.md)")
-		vpMode    = flag.String("vp", "", "value prediction: eves, dlvp, composite or epp")
-		oracle    = flag.String("oracle", "", "oracle prefetch study: l1, l2, llc or mem")
-		upscaled  = flag.Bool("2x", false, "use the futuristic Baseline-2x core")
+		cfgSpec   = configFlags(flag.CommandLine)
 		warmup    = flag.Uint64("warmup", 30000, "warmup uops (cache/predictor training)")
 		measure   = flag.Uint64("measure", 60000, "measured uops")
 		noWarmC   = flag.Bool("coldcaches", false, "skip footprint-based cache warming")
-		confBits  = flag.Int("confbits", 1, "RFP confidence counter width (1-4)")
-		ptEntries = flag.Int("ptentries", 1024, "RFP Prefetch Table entries")
 		pipeTrace = flag.Uint64("pipetrace", 0, "stream N cycles of pipeline events to stderr (after warmup)")
 		profile   = flag.Bool("profile", false, "print per-PC load profile (top 15) after the run")
 
-		lateAlloc = flag.Bool("latealloc", false, "late register allocation (§3.3 pipeline variation)")
-		pfName    = flag.String("prefetcher", "", "L1 hardware prefetcher: stream, spp, sisb or managed (docs/prefetchers.md)")
-		doChecks  = flag.Bool("checks", false, "enable the runtime invariant layer (docs/checking.md)")
 		diffMode  = flag.String("diff", "", "differential harness: norfp, novp, nolatealloc, nopf, noclp, baseline or full")
 		diffIntvl = flag.Uint64("diff-interval", 0, "divergence-localization interval in uops (0 = default 1000)")
 
@@ -100,58 +95,8 @@ func main() {
 		return
 	}
 
-	cfg := config.Baseline()
-	if *upscaled {
-		cfg = config.Baseline2x()
-	}
-	if *useRFP || *useCLP {
-		cfg = cfg.WithRFP()
-		cfg.RFP.UsePAT = *usePAT
-		cfg.RFP.UseContext = *useCtx
-		cfg.RFP.ConfidenceBits = *confBits
-		cfg.RFP.PTEntries = *ptEntries
-		if *useCLP {
-			cfg.RFP.UseCLP = true
-			cfg.Name += "+clp"
-		}
-	}
-	switch *vpMode {
-	case "":
-	case "eves":
-		cfg = cfg.WithVP(config.VPEVES)
-	case "dlvp":
-		cfg = cfg.WithVP(config.VPDLVP)
-	case "composite":
-		cfg = cfg.WithVP(config.VPComposite)
-	case "epp":
-		cfg = cfg.WithVP(config.VPEPP)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -vp mode %q\n", *vpMode)
-		os.Exit(2)
-	}
-	switch *oracle {
-	case "":
-	case "l1":
-		cfg = cfg.WithOracle(config.OracleL1ToRF)
-	case "l2":
-		cfg = cfg.WithOracle(config.OracleL2ToL1)
-	case "llc":
-		cfg = cfg.WithOracle(config.OracleLLCToL2)
-	case "mem":
-		cfg = cfg.WithOracle(config.OracleMemToLLC)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -oracle %q\n", *oracle)
-		os.Exit(2)
-	}
-	if *lateAlloc {
-		cfg.LateRegAlloc = true
-		cfg.Name += "+latealloc"
-	}
-	if *pfName != "" {
-		cfg = cfg.WithPrefetcher(*pfName)
-	}
-	cfg.Checks.Enabled = *doChecks
-	if err := cfg.Validate(); err != nil {
+	cfg, err := buildConfig(*cfgSpec)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -330,6 +275,33 @@ func runDiff(ctx context.Context, variant config.Core, mode, workload, traceFile
 		}
 	}
 	return exit
+}
+
+// configFlags registers the core-configuration flags on fs. Each maps
+// onto one service.ConfigSpec field, so rfpsim builds its configuration
+// exactly as the daemon and sweeps do.
+func configFlags(fs *flag.FlagSet) *service.ConfigSpec {
+	s := &service.ConfigSpec{}
+	fs.BoolVar(&s.Upscaled, "2x", false, "use the futuristic Baseline-2x core")
+	fs.BoolVar(&s.RFP, "rfp", false, "enable Register File Prefetching")
+	fs.BoolVar(&s.PAT, "pat", false, "use the Page Address Table PT encoding (needs -rfp)")
+	fs.BoolVar(&s.Context, "context", false, "add the path-based context prefetcher (needs -rfp)")
+	fs.BoolVar(&s.CLP, "clp", false, "cache-level-predicted RFP arming schedule (implies -rfp; docs/predictors.md)")
+	fs.IntVar(&s.ConfidenceBits, "confbits", 0, "RFP confidence counter width, 1-4 (0 = config default; needs -rfp)")
+	fs.IntVar(&s.PTEntries, "ptentries", 0, "RFP Prefetch Table entries (0 = config default; needs -rfp)")
+	fs.StringVar(&s.VP, "vp", "", "value prediction: eves, dlvp, composite or epp")
+	fs.StringVar(&s.Oracle, "oracle", "", "oracle prefetch study: l1, l2, llc or mem")
+	fs.BoolVar(&s.LateRegAlloc, "latealloc", false, "late register allocation (§3.3 pipeline variation)")
+	fs.StringVar(&s.Prefetcher, "prefetcher", "", "L1 hardware prefetcher: stream, spp, sisb or managed (docs/prefetchers.md)")
+	fs.BoolVar(&s.Checks, "checks", false, "enable the runtime invariant layer (docs/checking.md)")
+	return s
+}
+
+// buildConfig resolves the flag-built spec with service.ConfigSpec.Build;
+// -clp implies -rfp. RFP knobs without RFP are an error, not ignored.
+func buildConfig(s service.ConfigSpec) (config.Core, error) {
+	s.RFP = s.RFP || s.CLP
+	return s.Build()
 }
 
 func printStats(cfgName string, spec trace.Spec, st *stats.Sim) {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/runner"
@@ -107,25 +106,16 @@ type Run struct {
 func runConfig(ctx context.Context, cfg config.Core, opts Options) []Run {
 	specs := opts.workloads()
 	runs := make([]Run, len(specs))
-	sem := make(chan struct{}, opts.parallel())
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec trace.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			st, err := runner.Run(ctx, runner.Job{
-				Config:      cfg,
-				Spec:        spec,
-				WarmupUops:  opts.WarmupUops,
-				MeasureUops: opts.MeasureUops,
-				Seeds:       opts.seeds(),
-			})
-			runs[i] = Run{Spec: spec, Stats: st, Err: err}
-		}(i, spec)
-	}
-	wg.Wait()
+	runner.ForEach(len(specs), opts.parallel(), func(i int) {
+		st, err := runner.Run(ctx, runner.Job{
+			Config:      cfg,
+			Spec:        specs[i],
+			WarmupUops:  opts.WarmupUops,
+			MeasureUops: opts.MeasureUops,
+			Seeds:       opts.seeds(),
+		})
+		runs[i] = Run{Spec: specs[i], Stats: st, Err: err}
+	})
 	return runs
 }
 
@@ -247,6 +237,7 @@ func All() []Experiment {
 		{"latealloc", "Section 3.3 variation: late register allocation", runLateAlloc},
 		{"cycleacct", "Top-down commit-slot accounting (where RFP's gain comes from)", runCycleAccounting},
 		{"clp", "Extension: cache-level-predicted RFP arming schedule", runCLP},
+		{"suite", "Suite calibration: per-workload IPC, load levels, RFP coverage and gain", runSuite},
 	}
 }
 

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rfpsim/internal/config"
@@ -79,5 +82,59 @@ func TestSuitePopulationFacts(t *testing.T) {
 	})
 	if mpku < 0.3 || mpku > 25 {
 		t.Errorf("suite mispredicts/kuop = %.2f, implausible", mpku)
+	}
+}
+
+// TestSuiteMatchesFigures: the suite experiment prints one row per
+// workload sorted by L1 share, and its means are the numbers fig2 and
+// fig10 report for the same runs.
+func TestSuiteMatchesFigures(t *testing.T) {
+	opts := tiny()
+	ctx := context.Background()
+	results := map[string]*Result{}
+	for _, id := range []string{"suite", "fig2", "fig10"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		res, err := e.Run(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[id] = res
+	}
+	suite := results["suite"].Metrics
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mean_l1 vs fig2 frac_L1", suite["mean_l1"], results["fig2"].Metrics["frac_L1"]},
+		{"mean_coverage vs fig10 coverage", suite["mean_coverage"], results["fig10"].Metrics["coverage"]},
+		{"geomean_gain vs fig10 speedup", suite["geomean_gain"], results["fig10"].Metrics["speedup"]},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12 {
+			t.Errorf("%s: %v != %v", c.name, c.got, c.want)
+		}
+	}
+	if ipc := suite["mean_ipc"]; ipc <= 0 || ipc > 6 {
+		t.Errorf("mean_ipc = %v", ipc)
+	}
+
+	// Rows follow the two header lines, one per workload, ascending L1.
+	lines := strings.Split(results["suite"].Text, "\n")
+	prev := -1.0
+	for _, line := range lines[2 : 2+len(opts.Workloads)] {
+		f := strings.Fields(line)
+		if len(f) != 7 {
+			t.Fatalf("row %q has %d cells, want 7", line, len(f))
+		}
+		l1, err := strconv.ParseFloat(strings.TrimSuffix(f[2], "%"), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l1 < prev {
+			t.Errorf("rows not sorted by L1 share: %s after %.1f%%", line, prev)
+		}
+		prev = l1
 	}
 }

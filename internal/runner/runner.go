@@ -1,9 +1,10 @@
 // Package runner executes complete simulation jobs: construct a core for a
 // workload, warm caches and predictors, run the measurement window, and
 // optionally replicate the whole sequence across perturbed seeds. It is
-// the single code path behind the batch CLIs (cmd/rfpsim,
-// cmd/suitestats), the experiment harness and the rfpsimd service, so
-// cancellation and determinism behave identically everywhere.
+// the single code path behind the batch CLI (cmd/rfpsim), the experiment
+// harness and the rfpsimd service, so cancellation and determinism behave
+// identically everywhere. ForEach is the one bounded fan-out that the
+// experiment harness and both sweep loops share.
 // Observability rides on the context (internal/obs): when the caller
 // attached a timings collector the runner bills each stage's wall time
 // to it (fastforward / warmup / measure / aggregate), and per-replica

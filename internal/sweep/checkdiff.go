@@ -154,52 +154,38 @@ func RunCheckDiff(ctx context.Context, units []DiffUnit, parallel int, m *Metric
 		Units:   units,
 		Results: make(map[string]*check.Result, len(units)),
 	}
-	var (
-		mu  sync.Mutex
-		wg  sync.WaitGroup
-		sem = make(chan struct{}, parallel)
-	)
-	for _, u := range units {
+	var mu sync.Mutex
+	runner.ForEach(len(units), parallel, func(i int) {
+		u := units[i]
 		if ctx.Err() != nil {
-			break
+			return // not dispatched: the unit stays pending
 		}
-		wg.Add(1)
-		go func(u DiffUnit) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
+		log := obs.Logger(ctx).With("unit", u.Label)
+		res, err := u.Diff.Run(ctx)
+		if err != nil {
+			if ctx.Err() != nil {
 				return
 			}
-			defer func() { <-sem }()
-			log := obs.Logger(ctx).With("unit", u.Label)
-			res, err := u.Diff.Run(ctx)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				log.Warn("diff unit failed", "err", err.Error())
-				m.failed.Add(1)
-				mu.Lock()
-				sum.Failed = append(sum.Failed, UnitError{Unit: Unit{Label: u.Label}, Err: err})
-				mu.Unlock()
-				return
-			}
-			m.done.Add(1)
-			m.checkViolations.Add(res.BaseViolations + res.VariantViolations)
-			if res.Diverged {
-				m.diffDivergences.Add(1)
-				log.Warn("digest divergence", "uop", res.UopIndex, "interval", res.Interval)
-			}
+			log.Warn("diff unit failed", "err", err.Error())
+			m.failed.Add(1)
 			mu.Lock()
-			sum.Results[u.Label] = res
-			if progress != nil {
-				fmt.Fprintf(progress, "%s: %s\n", u.Label, res)
-			}
+			sum.Failed = append(sum.Failed, UnitError{Unit: Unit{Label: u.Label}, Err: err})
 			mu.Unlock()
-		}(u)
-	}
-	wg.Wait()
+			return
+		}
+		m.done.Add(1)
+		m.checkViolations.Add(res.BaseViolations + res.VariantViolations)
+		if res.Diverged {
+			m.diffDivergences.Add(1)
+			log.Warn("digest divergence", "uop", res.UopIndex, "interval", res.Interval)
+		}
+		mu.Lock()
+		sum.Results[u.Label] = res
+		if progress != nil {
+			fmt.Fprintf(progress, "%s: %s\n", u.Label, res)
+		}
+		mu.Unlock()
+	})
 	if err := ctx.Err(); err != nil {
 		return sum, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"rfpsim/internal/experiments"
 	"rfpsim/internal/obs"
+	"rfpsim/internal/runner"
 	"rfpsim/internal/service"
 )
 
@@ -80,7 +81,9 @@ func (s *Summary) Complete() bool { return len(s.Results) >= len(s.Units) }
 // dispatch and returns ctx's error; completed units are already journalled,
 // so a later Resume run picks up exactly the missing ones. Unit failures
 // do not abort the sweep — the rest of the grid still runs — but are
-// reported in the summary and as an error.
+// reported in the summary and as an error. A failed checkpoint write
+// does: nothing more is dispatched, and the error names the unit whose
+// result could not be journalled.
 func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Metrics) (*Summary, error) {
 	if m == nil {
 		m = &Metrics{}
@@ -163,68 +166,57 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 	}
 
 	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, opts.parallel())
-		loopErr error
+		mu         sync.Mutex
+		journalErr error // first failed checkpoint write; dispatch stops
 	)
-	for _, u := range pending {
-		if ctx.Err() != nil {
-			break
+	runner.ForEach(len(pending), opts.parallel(), func(i int) {
+		u := pending[i]
+		mu.Lock()
+		halted := journalErr != nil
+		mu.Unlock()
+		if halted || ctx.Err() != nil {
+			return // not dispatched: the unit stays pending
 		}
-		wg.Add(1)
-		go func(u Unit) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
+		// Each unit gets its own run ID and timings collector. The
+		// local backend's runner fills the collector through the
+		// context; the HTTP backend forwards the ID to the daemon
+		// (whose logs then correlate with ours) and merges the
+		// daemon's timings header back into the collector.
+		uctx, tim := obs.WithTimings(obs.WithRunID(ctx, obs.NewRunID()))
+		ulog := obs.Logger(uctx).With("unit", u.Label, "key", u.Key[:12])
+		ulog.Debug("unit start", "backend", backend.Name())
+		resp, err := backend.Run(uctx, u)
+		if err != nil {
+			if ctx.Err() != nil {
+				return // cancelled, not failed: the unit stays pending
 			}
-			defer func() { <-sem }()
-			// Each unit gets its own run ID and timings collector. The
-			// local backend's runner fills the collector through the
-			// context; the HTTP backend forwards the ID to the daemon
-			// (whose logs then correlate with ours) and merges the
-			// daemon's timings header back into the collector.
-			uctx, tim := obs.WithTimings(obs.WithRunID(ctx, obs.NewRunID()))
-			ulog := obs.Logger(uctx).With("unit", u.Label, "key", u.Key[:12])
-			ulog.Debug("unit start", "backend", backend.Name())
-			resp, err := backend.Run(uctx, u)
-			if err != nil {
-				if ctx.Err() != nil {
-					return // cancelled, not failed: the unit stays pending
-				}
-				ulog.Warn("unit failed", "err", err.Error())
-				m.failed.Add(1)
-				mu.Lock()
-				sum.Failed = append(sum.Failed, UnitError{Unit: u, Err: err})
-				mu.Unlock()
-				return
-			}
-			ulog.Debug("unit done", "ipc", resp.IPC, "timings", tim.String())
+			ulog.Warn("unit failed", "err", err.Error())
+			m.failed.Add(1)
 			mu.Lock()
-			sum.Results[u.Key] = resp
-			sum.Timings[u.Key] = tim
-			var jerr error
-			if journal != nil {
-				jerr = journal.Record(u, resp)
-			}
-			if jerr != nil && loopErr == nil {
-				loopErr = jerr
-			}
+			sum.Failed = append(sum.Failed, UnitError{Unit: u, Err: err})
 			mu.Unlock()
-			m.done.Add(1)
-		}(u)
-	}
-	wg.Wait()
+			return
+		}
+		ulog.Debug("unit done", "ipc", resp.IPC, "timings", tim.String())
+		mu.Lock()
+		defer mu.Unlock()
+		sum.Results[u.Key] = resp
+		sum.Timings[u.Key] = tim
+		if journal != nil && journalErr == nil {
+			if err := journal.Record(u, resp); err != nil {
+				journalErr = fmt.Errorf("sweep: journalling unit %s: %w", u.Label, err)
+			}
+		}
+		m.done.Add(1)
+	})
 	close(stopProgress)
 	progressWG.Wait()
 	if opts.Progress != nil {
 		progress(true)
 	}
 
-	if loopErr != nil {
-		return sum, loopErr
+	if journalErr != nil {
+		return sum, journalErr
 	}
 	if err := ctx.Err(); err != nil {
 		return sum, err

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,6 +170,46 @@ func TestInteriorCorruptionFailsLoudly(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(ckpt); err == nil {
 		t.Fatal("interior corruption loaded without error")
+	}
+}
+
+// nanBackend answers every unit with an IPC the checkpoint journal cannot
+// encode (json.Marshal rejects NaN), and counts its calls.
+type nanBackend struct{ calls atomic.Int32 }
+
+func (b *nanBackend) Name() string { return "nan" }
+func (b *nanBackend) Run(context.Context, Unit) (*service.SimResponse, error) {
+	b.calls.Add(1)
+	return &service.SimResponse{IPC: math.NaN()}, nil
+}
+
+// TestJournalFailureStopsDispatch: once a checkpoint write fails, the
+// sweep dispatches nothing more — at most the units already in flight
+// finish — and the error wraps the journal error and names the unit.
+func TestJournalFailureStopsDispatch(t *testing.T) {
+	units := testUnits(t)
+	for _, parallel := range []int{1, 3} {
+		be := &nanBackend{}
+		ckpt := filepath.Join(t.TempDir(), "nan.ckpt")
+		_, err := Run(context.Background(), units, be, Options{Parallel: parallel, CheckpointPath: ckpt}, nil)
+		if err == nil {
+			t.Fatalf("parallel %d: sweep with an unencodable result succeeded", parallel)
+		}
+		if n := int(be.calls.Load()); n > 1+parallel {
+			t.Errorf("parallel %d: backend ran %d of %d units after the journal failed, want at most %d",
+				parallel, n, len(units), 1+parallel)
+		}
+		var uve *json.UnsupportedValueError
+		if !errors.As(err, &uve) {
+			t.Errorf("parallel %d: error %v does not wrap the journal's json error", parallel, err)
+		}
+		named := false
+		for _, u := range units[:1+parallel] {
+			named = named || strings.Contains(err.Error(), u.Label)
+		}
+		if !named {
+			t.Errorf("parallel %d: error %q names no dispatched unit", parallel, err)
+		}
 	}
 }
 
