@@ -116,6 +116,54 @@ func BenchmarkSampledRun(b *testing.B) {
 	b.ReportMetric(float64(job.MeasureUops)*float64(b.N)/b.Elapsed().Seconds(), "uops/s")
 }
 
+// BenchmarkSampledFamily measures a family of sampled jobs end to end:
+// sample.RunFamily on spec06_mcf at the BenchmarkSampledRun size over the
+// rfpbench sampled-sweep grid, RFP with the stream and managed L1
+// prefetchers and CLP off and on. One profile and one fast-forward pass
+// serve all four configurations; each point is forked and replayed four
+// times. uops/s is the measured windows the four jobs estimate per wall
+// second.
+func BenchmarkSampledFamily(b *testing.B) {
+	spec, _ := trace.ByName("spec06_mcf")
+	var jobs []runner.Job
+	for _, pf := range []string{"stream", "managed"} {
+		for _, clp := range []bool{false, true} {
+			cfg := config.Baseline().WithRFP().WithPrefetcher(pf)
+			if clp {
+				cfg = cfg.WithCLP()
+			}
+			jobs = append(jobs, runner.Job{Config: cfg, Spec: spec,
+				WarmupUops: 20000, MeasureUops: 100000, Seeds: 1, Sampling: &runner.Sampling{}})
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		_, errs := sample.RunFamily(context.Background(), jobs)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(jobs))*float64(jobs[0].MeasureUops)*float64(b.N)/b.Elapsed().Seconds(), "uops/s")
+}
+
+// BenchmarkFastForward measures functional warming alone: core.FastForward
+// on a functional core (core.NewFunctional) over spec06_mcf with RFP on,
+// the core sampled replay drives between points.
+func BenchmarkFastForward(b *testing.B) {
+	spec, _ := trace.ByName("spec06_mcf")
+	c := core.NewFunctional(config.Baseline().WithRFP(), spec.New())
+	c.WarmCaches()
+	b.ResetTimer()
+	const chunk = 10000
+	for i := 0; i < b.N; i++ {
+		if err := c.FastForward(context.Background(), chunk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(chunk*b.N)/b.Elapsed().Seconds(), "uops/s")
+}
+
 // BenchmarkWorkloadGeneration measures trace generation speed alone (the
 // substrate under everything).
 func BenchmarkWorkloadGeneration(b *testing.B) {

@@ -60,7 +60,7 @@ func main() {
 		checkpoint  = flag.String("checkpoint", "", "append-only JSONL checkpoint journal")
 		resume      = flag.Bool("resume", false, "replay the checkpoint and run only missing units")
 		endpoints   = flag.String("endpoints", "", "comma-separated rfpsimd base URLs (empty = run in-process)")
-		parallel    = flag.Int("parallel", 0, "units in flight at once (0 = 4)")
+		parallel    = flag.Int("parallel", 0, "unit groups in flight at once: families of sampled units, or single units (0 = 4)")
 		retries     = flag.Int("retries", 0, "max attempts per unit on the http backend (0 = 8)")
 		progress    = flag.Duration("progress", 5*time.Second, "progress/ETA report interval (0 = quiet)")
 		metrics     = flag.Bool("metrics", false, "dump Prometheus-style sweep counters to stderr at the end")

@@ -423,6 +423,41 @@ func (c Core) WithOracle(m OracleMode) Core {
 	return c
 }
 
+// FunctionalKey returns the part of c that functional warming can
+// observe: c with every field that core.WarmCaches, core.FastForward and
+// the sampling profile leave no trace of set to its zero value. Two
+// configurations with equal keys leave a functional core in the same
+// state after the same warming, so one warmed core can be forked into
+// either of them (core.Fork), and a family of sampled jobs shares one
+// profile and one fast-forward pass (internal/sample.RunFamily).
+//
+// Inside the key are the cache and DTLB geometry, the branch predictor,
+// the RFP table and context predictor knobs, value prediction, Oracle and
+// Checks. Outside it are the name, the pipeline widths, window sizes,
+// ports and penalties, every latency and the MSHR count, the L1 hardware
+// prefetcher, and the RFP knobs that act only at cycle level: the queue,
+// the injection filters and the cache-level predictor. A field is inside
+// unless it is zeroed here, so a new field stays inside until a test
+// shows that warming cannot observe it.
+func FunctionalKey(c Core) Core {
+	c.Name = ""
+	c.Width, c.IssueWidth = 0, 0
+	c.ROBSize, c.RSSize, c.LQSize, c.SQSize = 0, 0, 0, 0
+	c.IntPRF, c.FPPRF = 0, 0
+	c.ALUPorts, c.FPPorts, c.LoadPorts, c.StorePorts, c.BranchPorts = 0, 0, 0, 0, 0
+	c.RFPDedicatedPorts = 0
+	c.FrontendLatency, c.MispredictPenalty, c.FlushPenalty, c.SchedDepth = 0, 0, 0, 0
+	c.LateRegAlloc = false
+	m := &c.Mem
+	m.L1Latency, m.L2Latency, m.LLCLatency, m.MemLatency = 0, 0, 0, 0
+	m.L1MSHRs, m.PageWalkLatency = 0, 0
+	m.HWPrefetch, m.HWPrefetchDegree, m.Prefetcher = false, 0, ""
+	r := &c.RFP
+	r.QueueSize = 0
+	r.PrefetchOnL1Miss, r.DropOnTLBMiss, r.CriticalOnly, r.UseCLP = false, false, false, false
+	return c
+}
+
 // Validate checks configuration invariants and returns a descriptive error
 // for the first violation.
 func (c *Core) Validate() error {

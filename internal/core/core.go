@@ -150,7 +150,13 @@ type producer struct {
 // must Validate; New panics otherwise (a bad config is a programming
 // error, not a runtime condition).
 func New(cfg config.Core, gen isa.Generator) *Core {
-	c := newWarmable(cfg, gen, cfg.Mem)
+	return newFull(cfg, gen, nil)
+}
+
+// newFull is New. A non-nil arrays hands its cache and DTLB arrays over
+// to the new core (mem.ReuseHierarchy) instead of it allocating its own.
+func newFull(cfg config.Core, gen isa.Generator, arrays *mem.Hierarchy) *Core {
+	c := newWarmable(cfg, gen, cfg.Mem, arrays)
 	c.ss = predictor.NewStoreSets(10)
 	c.rob = make([]entry, cfg.ROBSize)
 	c.rs = make([]rsRef, 0, cfg.RSSize)
@@ -202,12 +208,12 @@ func New(cfg config.Core, gen isa.Generator) *Core {
 func NewFunctional(cfg config.Core, gen isa.Generator) *Core {
 	m := cfg.Mem
 	m.Prefetcher, m.HWPrefetch = "", false
-	return newWarmable(cfg, gen, m)
+	return newWarmable(cfg, gen, m, nil)
 }
 
 // newWarmable builds the part of a core that WarmCaches and FastForward
-// train, with its hierarchy built from memCfg.
-func newWarmable(cfg config.Core, gen isa.Generator, memCfg config.MemConfig) *Core {
+// train, with its hierarchy built from memCfg over arrays (see newFull).
+func newWarmable(cfg config.Core, gen isa.Generator, memCfg config.MemConfig, arrays *mem.Hierarchy) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -216,7 +222,7 @@ func newWarmable(cfg config.Core, gen isa.Generator, memCfg config.MemConfig) *C
 		cfg:  cfg,
 		gen:  gen,
 		st:   st,
-		hier: mem.NewHierarchy(memCfg, cfg.Oracle, st),
+		hier: mem.ReuseHierarchy(arrays, memCfg, cfg.Oracle, st),
 		hm:   predictor.NewHitMiss(12),
 	}
 	if cfg.BranchPredictor == "gshare" {

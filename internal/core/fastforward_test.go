@@ -118,7 +118,7 @@ func TestForkPreconditionsAndIndependence(t *testing.T) {
 	if err := c.FastForward(ctx, 5000); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.Fork()
+	f, err := c.Fork(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,12 @@ func TestForkPreconditionsAndIndependence(t *testing.T) {
 	if err := c.FastForward(ctx, 1000); err != nil {
 		t.Fatalf("source cannot fast-forward after forking: %v", err)
 	}
-	if _, err := f.Fork(); err == nil || !strings.Contains(err.Error(), "already simulated") {
+	if _, err := f.Fork(cfg, nil); err == nil || !strings.Contains(err.Error(), "already simulated") {
 		t.Fatalf("Fork of a simulated core: err = %v", err)
 	}
 
 	one := New(cfg, &loopGen{name: "unforkable", body: []isa.MicroOp{alu(0x10, 1, 1, isa.NoReg)}})
-	if _, err := one.Fork(); err == nil || !strings.Contains(err.Error(), "not forkable") {
+	if _, err := one.Fork(cfg, nil); err == nil || !strings.Contains(err.Error(), "not forkable") {
 		t.Fatalf("Fork over an uncloneable generator: err = %v", err)
 	}
 
@@ -155,7 +155,7 @@ func TestForkPreconditionsAndIndependence(t *testing.T) {
 	if _, err := fc.Run(ctx, 100); err == nil || !strings.Contains(err.Error(), "cannot cycle-simulate") {
 		t.Fatalf("Run on a functional core: err = %v", err)
 	}
-	ff, err := fc.Fork()
+	ff, err := fc.Fork(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

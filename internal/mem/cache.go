@@ -166,12 +166,13 @@ func (c *Cache) fill(addr uint64, pf bool) {
 	keys[victim], lrus[victim] = key, stamp
 }
 
-// copyFrom copies src's ways and stamp into c, which must have the same
-// geometry.
+// copyFrom copies src's ways, stamp and unused-prefetch count into c,
+// which must have the same geometry: afterwards c holds nothing of its
+// own.
 func (c *Cache) copyFrom(src *Cache) {
 	copy(c.keys, src.keys)
 	copy(c.lrus, src.lrus)
-	c.stamp = src.stamp
+	c.stamp, c.pfUnused = src.stamp, src.pfUnused
 }
 
 // fillCold places the line containing addr, stamped lru, in the first

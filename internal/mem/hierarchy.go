@@ -55,13 +55,27 @@ type Hierarchy struct {
 // idealization (hits at level N served at level N-1's latency). st may be
 // nil, in which case no statistics are recorded.
 func NewHierarchy(cfg config.MemConfig, oracle config.OracleMode, st *stats.Sim) *Hierarchy {
-	h := &Hierarchy{
-		cfg: cfg,
-		l1:  NewCache(cfg.L1Sets, cfg.L1Ways),
-		l2:  NewCache(cfg.L2Sets, cfg.L2Ways),
-		llc: NewCache(cfg.LLCSets, cfg.LLCWays),
-		tlb: NewTLB(cfg.DTLBEntries, cfg.DTLBWays),
-		st:  st,
+	return ReuseHierarchy(nil, cfg, oracle, st)
+}
+
+// ReuseHierarchy is NewHierarchy, except that a non-nil old hands over
+// its L1, L2, LLC and DTLB arrays instead of the new hierarchy allocating
+// its own. They keep whatever old left in them, so the caller must
+// overwrite them at once with CopyWarmState, as core.Fork does, and must
+// not use old again. old must have cfg's geometry; ReuseHierarchy panics
+// otherwise.
+func ReuseHierarchy(old *Hierarchy, cfg config.MemConfig, oracle config.OracleMode, st *stats.Sim) *Hierarchy {
+	h := &Hierarchy{cfg: cfg, st: st}
+	if old != nil {
+		if !sameGeometry(old.cfg, cfg) {
+			panic("mem: ReuseHierarchy over a hierarchy of another geometry")
+		}
+		h.l1, h.l2, h.llc, h.tlb = old.l1, old.l2, old.llc, old.tlb
+	} else {
+		h.l1 = NewCache(cfg.L1Sets, cfg.L1Ways)
+		h.l2 = NewCache(cfg.L2Sets, cfg.L2Ways)
+		h.llc = NewCache(cfg.LLCSets, cfg.LLCWays)
+		h.tlb = NewTLB(cfg.DTLBEntries, cfg.DTLBWays)
 	}
 	if name := cfg.ActivePrefetcher(); name != "" {
 		h.pf = newPrefetcher(name, cfg.HWPrefetchDegree, st)
@@ -301,11 +315,22 @@ func (h *Hierarchy) Warm(addr uint64) {
 	h.tlb.Insert(isa.PageFrame(addr))
 }
 
-// CopyWarmState makes h's L1, L2, LLC and DTLB arrays and their stamps
-// a copy of src's: everything Warm and WarmRegions write. The two
-// hierarchies must share a geometry. Core.Fork uses it on a hierarchy
-// that has only been warmed, so the MSHR list and the hardware prefetcher
-// are still as NewHierarchy built them on both sides and stay h's own.
+// sameGeometry reports whether two configurations build cache and DTLB
+// arrays of the same shape.
+func sameGeometry(a, b config.MemConfig) bool {
+	return a.L1Sets == b.L1Sets && a.L1Ways == b.L1Ways &&
+		a.L2Sets == b.L2Sets && a.L2Ways == b.L2Ways &&
+		a.LLCSets == b.LLCSets && a.LLCWays == b.LLCWays &&
+		a.DTLBEntries == b.DTLBEntries && a.DTLBWays == b.DTLBWays
+}
+
+// CopyWarmState makes h's L1, L2, LLC and DTLB arrays a copy of src's,
+// stamps and counters included: everything Warm and WarmRegions write,
+// and everything else the arrays hold, so arrays taken over by
+// ReuseHierarchy keep nothing of their past. The two hierarchies must
+// share a geometry. Core.Fork uses it on a hierarchy that has only been
+// warmed, so the MSHR list and the hardware prefetcher are still as
+// NewHierarchy built them on both sides and stay h's own.
 func (h *Hierarchy) CopyWarmState(src *Hierarchy) {
 	h.l1.copyFrom(src.l1)
 	h.l2.copyFrom(src.l2)

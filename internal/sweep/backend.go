@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"rfpsim/internal/sample"
 	"rfpsim/internal/service"
 )
 
@@ -22,6 +21,13 @@ type Backend interface {
 // internal/runner for full-window units) — the exact code path a POST
 // /v1/sim executes on a daemon, so a sweep run locally and the same sweep
 // run against a fleet produce identical CSVs.
+//
+// When the context carries a family (sweep.Run puts one in each member's
+// context), the first call for any of its members runs the whole family
+// through sample.RunFamily: one profile and one fast-forward pass for
+// all of them. That call, and its context's timings collector, pays for
+// the family; the other members' calls return their stored results at
+// once.
 type LocalBackend struct {
 	// Metrics, when set, records per-unit latency under the "local"
 	// backend label.
@@ -37,23 +43,15 @@ func (LocalBackend) Name() string { return "local" }
 
 // Run implements Backend.
 func (b LocalBackend) Run(ctx context.Context, u Unit) (*service.SimResponse, error) {
-	job, _, err := service.ResolveJobWith(u.Req, b.Traces)
-	if err != nil {
-		return nil, err
-	}
-	if u.Req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(u.Req.TimeoutMS)*time.Millisecond)
-		defer cancel()
+	f := contextFamily(ctx)
+	if f == nil || !f.has(u.Key) {
+		f = newFamily([]Unit{u})
 	}
 	start := time.Now()
-	res, err := sample.RunResult(ctx, job)
+	f.once.Do(func() { f.run(ctx, b.Traces) })
+	resp, err := f.resps[u.Key], f.errs[u.Key]
 	if b.Metrics != nil {
 		b.Metrics.observe(b.Name(), time.Since(start), err != nil)
 	}
-	if err != nil {
-		return nil, err
-	}
-	resp := service.Response(job, res)
-	return &resp, nil
+	return resp, err
 }

@@ -17,8 +17,12 @@ import (
 
 // Options configures one orchestrator run.
 type Options struct {
-	// Parallel bounds concurrent units in flight (0 = 4; against an HTTP
-	// fleet, size it to the fleet's aggregate worker count).
+	// Parallel bounds the groups of units in flight (0 = 4; against an
+	// HTTP fleet, size it to the fleet's aggregate worker count). A group
+	// is one family of sampled units, which share a profile and a
+	// fast-forward pass on the local backend and run one after another,
+	// or a single unit. When there are fewer families than Parallel,
+	// Run splits the largest ones so that every slot has work.
 	Parallel int
 	// CheckpointPath, when set, journals every completed unit and (with
 	// Resume) skips units already recorded.
@@ -169,8 +173,7 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 		mu         sync.Mutex
 		journalErr error // first failed checkpoint write; dispatch stops
 	)
-	runner.ForEach(len(pending), opts.parallel(), func(i int) {
-		u := pending[i]
+	runUnit := func(ctx context.Context, u Unit) {
 		mu.Lock()
 		halted := journalErr != nil
 		mu.Unlock()
@@ -208,6 +211,16 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 			}
 		}
 		m.done.Add(1)
+	}
+	groups := families(pending, opts.parallel())
+	runner.ForEach(len(groups), opts.parallel(), func(i int) {
+		ctx := ctx
+		if g := groups[i]; len(g) > 1 {
+			ctx = withFamily(ctx, newFamily(g))
+		}
+		for _, u := range groups[i] {
+			runUnit(ctx, u)
+		}
 	})
 	close(stopProgress)
 	progressWG.Wait()
