@@ -93,7 +93,7 @@ func BenchmarkRFPSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(chunk*b.N)/b.Elapsed().Seconds(), "uops/s")
 }
 
-// BenchmarkSampledRun measures a sampled job end to end: sample.Run on
+// BenchmarkSampledRun measures a sampled job end to end: sample.RunResult on
 // spec06_mcf under RFP+CLP with the managed L1 prefetcher, at the
 // rfpbench sampled-sweep size (warmup 20K, measure 100K, default plan).
 // Profiling, fast-forward, forks and the replayed intervals all count.
@@ -109,7 +109,7 @@ func BenchmarkSampledRun(b *testing.B) {
 		Sampling:    &runner.Sampling{},
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := sample.Run(context.Background(), job); err != nil {
+		if _, err := sample.RunResult(context.Background(), job); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,11 +6,20 @@
 //
 //	rfpsim -workload spec06_mcf [-rfp] [-clp] [-vp eves|dlvp|composite|epp]
 //	       [-oracle l1|l2|llc|mem] [-prefetcher stream|spp|sisb|managed]
-//	       [-2x] [-warmup N] [-measure N] [-seed S]
+//	       [-2x] [-warmup N] [-measure N] [-coldcaches]
 //	       [-sample] [-sample-interval N] [-sample-maxk K] [-sample-warmup N]
 //	       [-checks] [-v] [-cpuprofile out.pprof]
+//	rfpsim -trace file.rfpt [the flags above]
 //	rfpsim -workload all -diff norfp [-measure N] [-diff-interval N]
 //	rfpsim -listworkloads
+//
+// -trace runs an .rfpt trace file (docs/traces.md) instead of a catalog
+// workload. The file is read into memory and re-decoded for every pass,
+// so a trace samples, and pairs under -diff, exactly as a catalog
+// workload does. -sample prints the replay plan (the simulated intervals
+// and their weights) before the sampled statistics; docs/sampling.md
+// explains how to check a workload's sampling error by running with and
+// without -sample.
 //
 // The configuration flags map onto the daemon's config spec
 // (service.ConfigSpec, docs/service.md) and build the same way: -clp
@@ -36,7 +45,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -106,12 +114,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	var sampling *runner.Sampling
+	if *doSample {
+		sampling = &runner.Sampling{IntervalUops: *sInterval, MaxK: *sMaxK, WarmupUops: *sWarmup}
+	}
 	if *diffMode != "" {
-		var sp *runner.Sampling
-		if *doSample {
-			sp = &runner.Sampling{IntervalUops: *sInterval, MaxK: *sMaxK, WarmupUops: *sWarmup}
-		}
-		code := runDiff(ctx, cfg, *diffMode, *workload, *traceFile, *measure, *diffIntvl, sp)
+		code := runDiff(ctx, cfg, *diffMode, *workload, *traceFile, *measure, *diffIntvl, sampling)
 		stop()
 		os.Exit(code)
 	}
@@ -122,28 +130,14 @@ func main() {
 		MeasureUops: *measure,
 		Seeds:       1,
 		ColdCaches:  *noWarmC,
-	}
-	if *doSample {
-		job.Sampling = &runner.Sampling{
-			IntervalUops: *sInterval,
-			MaxK:         *sMaxK,
-			WarmupUops:   *sWarmup,
-		}
+		Sampling:    sampling,
 	}
 	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
+		job.Spec, job.NewGen, err = traceSource(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		r, err := tracefile.NewReader(f, *traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		job.Gen = r
-		job.Spec = trace.Spec{Name: *traceFile, Category: "trace-file"}
 	} else {
 		spec, ok := trace.ByName(*workload)
 		if !ok {
@@ -230,26 +224,13 @@ func runDiff(ctx context.Context, variant config.Core, mode, workload, traceFile
 	var specs []trace.Spec
 	switch {
 	case traceFile != "":
-		// Both sides (and any retry) need a fresh generator over the
-		// identical stream, so the file is read once and re-decoded per
-		// side.
-		data, err := os.ReadFile(traceFile)
+		spec, newGen, err := traceSource(traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if _, err := tracefile.NewReader(bytes.NewReader(data), traceFile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		d.NewGen = func() isa.Generator {
-			r, err := tracefile.NewReader(bytes.NewReader(data), traceFile)
-			if err != nil { // validated above; cannot recur
-				panic(err)
-			}
-			return r
-		}
-		specs = []trace.Spec{{Name: traceFile, Category: "trace-file"}}
+		d.NewGen = newGen
+		specs = []trace.Spec{spec}
 	case workload == "all":
 		specs = trace.Catalog()
 	default:
@@ -275,6 +256,23 @@ func runDiff(ctx context.Context, variant config.Core, mode, workload, traceFile
 		}
 	}
 	return exit
+}
+
+// traceSource reads a trace file into memory and returns the workload spec
+// it runs under (named after the file) and a tracefile.Factory over its
+// bytes: every pass — a full run, both sides of a differential, the
+// profile and the replay of a sampled run — decodes the identical stream
+// afresh, and each generator forks.
+func traceSource(path string) (trace.Spec, func() isa.Generator, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return trace.Spec{}, nil, err
+	}
+	newGen, err := tracefile.Factory(raw, path)
+	if err != nil {
+		return trace.Spec{}, nil, err
+	}
+	return trace.Spec{Name: path, Category: "trace-file"}, newGen, nil
 }
 
 // configFlags registers the core-configuration flags on fs. Each maps

@@ -159,30 +159,14 @@ func main() {
 	defer stop()
 	ctx = obs.WithLogger(ctx, logger)
 
-	// -metrics-addr serves the live counters while the sweep runs, from the
-	// same registry machinery rfpsimd uses; scraping it answers "is the
-	// sweep stuck or just slow" without touching the orchestrator.
-	if *metricsAddr != "" {
-		reg := obs.NewRegistry()
-		reg.Register(m)
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		msrv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("metrics server failed", "addr", *metricsAddr, "err", err.Error())
-			}
-		}()
-		defer msrv.Close()
-		logger.Info("serving sweep metrics", "addr", *metricsAddr)
-	}
+	defer serveMetrics(*metricsAddr, m, logger)()
 
 	sum, runErr := sweep.Run(ctx, units, backend, opts, m)
 	if *metrics && sum != nil {
 		m.WritePrometheus(os.Stderr)
 	}
 	if *timingsPath != "" && sum != nil {
-		if err := writeTimings(*timingsPath, sum); err != nil {
+		if err := writeCSV(*timingsPath, sum.WriteTimingsCSV); err != nil {
 			fmt.Fprintf(os.Stderr, "rfpsweep: %v\n", err)
 		}
 	}
@@ -194,20 +178,7 @@ func main() {
 		fatal(runErr)
 	}
 
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		out = f
-	}
-	if err := sum.WriteCSV(out); err != nil {
+	if err := writeCSV(*outPath, sum.WriteCSV); err != nil {
 		fatal(err)
 	}
 }
@@ -234,20 +205,7 @@ func runCheckDiff(spec *sweep.Spec, outPath string, parallel int, dryRun, progre
 	ctx = obs.WithLogger(ctx, logger)
 
 	m := &sweep.Metrics{}
-	if metricsAddr != "" {
-		reg := obs.NewRegistry()
-		reg.Register(m)
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		msrv := &http.Server{Addr: metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("metrics server failed", "addr", metricsAddr, "err", err.Error())
-			}
-		}()
-		defer msrv.Close()
-		logger.Info("serving sweep metrics", "addr", metricsAddr)
-	}
+	defer serveMetrics(metricsAddr, m, logger)()
 
 	var progressW io.Writer
 	if progress {
@@ -261,20 +219,7 @@ func runCheckDiff(spec *sweep.Spec, outPath string, parallel int, dryRun, progre
 		fatal(runErr)
 	}
 
-	out := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		out = f
-	}
-	if err := sum.WriteCSV(out); err != nil {
+	if err := writeCSV(outPath, sum.WriteCSV); err != nil {
 		fatal(err)
 	}
 	if !sum.Clean() {
@@ -326,15 +271,41 @@ func registerTraces(list string, urls []string, store *service.TraceStore, logge
 	return nil
 }
 
-// writeTimings dumps the per-unit stage breakdown collected during this
-// process's run. Units replayed from the checkpoint or served from a
-// daemon's cache have no timing rows — their cost was paid elsewhere.
-func writeTimings(path string, sum *sweep.Summary) error {
+// serveMetrics serves m's live counters at http://addr/metrics while the
+// sweep runs, from the same registry machinery rfpsimd uses; scraping it
+// answers "is the sweep stuck or just slow" without touching the
+// orchestrator. It returns the function that stops the server; an empty
+// addr serves nothing.
+func serveMetrics(addr string, m *sweep.Metrics, logger *slog.Logger) (stop func()) {
+	if addr == "" {
+		return func() {}
+	}
+	reg := obs.NewRegistry()
+	reg.Register(m)
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	msrv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			logger.Error("metrics server failed", "addr", addr, "err", err.Error())
+		}
+	}()
+	logger.Info("serving sweep metrics", "addr", addr)
+	return func() { msrv.Close() }
+}
+
+// writeCSV writes one of the sweep's CSVs (the aggregate, the verdicts or
+// the -timings breakdown) to the file at path, or to stdout when path is
+// empty.
+func writeCSV(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := sum.WriteTimingsCSV(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

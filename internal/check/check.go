@@ -185,10 +185,11 @@ func (d Differential) runSide(ctx context.Context, cfg config.Core, faults []str
 		segs = append(segs, segment{pos: c.RetiredStreamPos()})
 		digests = append(digests, c.EnableCommitDigest(il))
 	}
-	st, err := sample.Run(ctx, job)
+	res, err := sample.RunResult(ctx, job)
 	if err != nil {
 		return side{}, err
 	}
+	st := res.Stats
 	if hookErr != nil {
 		return side{}, hookErr
 	}

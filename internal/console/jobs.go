@@ -251,9 +251,9 @@ type csvRow struct {
 }
 
 // writeJobsCSV emits the byte-pinned sweep schema — the header and the
-// ipc/cycles/instructions rows per unit, formatted by the same
-// experiments helpers sweep.Summary.WriteCSV uses. A console CSV and a
-// sweep CSV of the same simulations are byte-identical modulo labels.
+// ipc/cycles/instructions rows per job, rendered by the same
+// SimResponse.WriteCSVRows sweep.Summary.WriteCSV uses. A console CSV and
+// a sweep CSV of the same simulations are byte-identical modulo labels.
 func writeJobsCSV(w io.Writer, rows []csvRow) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(experiments.MetricsCSVHeader); err != nil {
@@ -263,15 +263,8 @@ func writeJobsCSV(w io.Writer, rows []csvRow) error {
 		if row.resp == nil {
 			return errors.New("console: finished job without a response")
 		}
-		cells := [][]string{
-			{row.label, "ipc", experiments.FormatMetric(row.resp.IPC)},
-			{row.label, "cycles", experiments.FormatCount(row.resp.Cycles)},
-			{row.label, "instructions", experiments.FormatCount(row.resp.Instructions)},
-		}
-		for _, cell := range cells {
-			if err := cw.Write(cell); err != nil {
-				return err
-			}
+		if err := row.resp.WriteCSVRows(cw, row.label); err != nil {
+			return err
 		}
 	}
 	cw.Flush()

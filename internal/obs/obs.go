@@ -1,5 +1,5 @@
 // Package obs is the shared observability layer: every serving and batch
-// surface in the stack (rfpsimd, rfpsweep, rfpsample, rfpsim) emits its
+// surface in the stack (rfpsimd, rfpsweep, rfpsim) emits its
 // telemetry through this package so a simulation can be followed across
 // process boundaries with one run ID, one metrics registry and one
 // per-stage timing breakdown.

@@ -64,23 +64,18 @@ func Measure(ctx context.Context, c *core.Core, job Job) (*stats.Sim, error) {
 type Job struct {
 	// Config is the core configuration to simulate.
 	Config config.Core
-	// Spec names the workload. With Gen unset, each replica runs
+	// Spec names the workload. With NewGen unset, each replica runs
 	// Spec.New() with a per-replica perturbed seed.
 	Spec trace.Spec
-	// Gen, when set, overrides Spec.New() as the uop source (the
-	// trace-file path). Generator state is consumed by a run, so Gen
-	// requires Seeds <= 1.
-	Gen isa.Generator
 	// NewGen, when set, is a re-instantiable generator factory overriding
 	// Spec.New(): every call must return a fresh generator producing an
-	// identical uop stream (uploaded traces re-decoded from bytes). Unlike
-	// the one-shot Gen it survives multiple runs, so sampled execution
+	// identical uop stream (a trace re-decoded from its bytes; see
+	// tracefile.Factory). It survives multiple runs, so sampled execution
 	// (internal/sample) can profile the stream and then replay intervals.
 	// A sampled job also needs the generators to be forkable (isa.Cloner,
-	// as a tracefile.Reader over a *bytes.Reader is): replay fast-forwards
-	// one generator and clones it at every interval. Seed perturbation is
-	// meaningless for a fixed stream, so NewGen still requires Seeds <= 1,
-	// and at most one of Gen/NewGen may be set.
+	// as every tracefile.Factory generator is): replay fast-forwards one
+	// generator and clones it at every interval. Seed perturbation is
+	// meaningless for a fixed stream, so NewGen requires Seeds <= 1.
 	NewGen func() isa.Generator
 	// WarmupUops runs (and discards) this many uops before measuring.
 	WarmupUops uint64
@@ -99,7 +94,7 @@ type Job struct {
 	// only representative intervals of the measured window are
 	// cycle-simulated and the statistics are cluster-weight scaled.
 	// Run itself rejects a sampled job — execute it with
-	// internal/sample.Run, which profiles, clusters and replays through
+	// internal/sample.RunResult, which profiles, clusters and replays through
 	// this runner. The spec lives here (not in internal/sample) so Job
 	// stays the single wire-independent job description.
 	Sampling *Sampling
@@ -111,21 +106,23 @@ type Job struct {
 
 // Sampling configures sampled simulation of a job's measured window. The
 // zero value of each field selects the documented default; internal/sample
-// owns the defaulting and the execution.
+// owns the defaulting and the execution. The JSON tags are its wire form
+// (service.SamplingSpec is this type), used by /v1/sim requests and
+// responses, sweep specs and sweep checkpoint lines.
 type Sampling struct {
 	// IntervalUops is the profiling/replay interval length (default 2000).
 	// The measured window is split into MeasureUops/IntervalUops
 	// intervals; a trailing remainder shorter than one interval is not
 	// sampled.
-	IntervalUops uint64
+	IntervalUops uint64 `json:"interval_uops,omitempty"`
 	// MaxK bounds the number of representative intervals (default 5).
 	// Fewer are simulated when the clusterer needs fewer, or when the
 	// window has fewer intervals than MaxK.
-	MaxK int
+	MaxK int `json:"max_k,omitempty"`
 	// WarmupUops is the per-representative cycle-accurate warmup run
 	// before each measured interval, on top of footprint cache warming
 	// (default: one interval).
-	WarmupUops uint64
+	WarmupUops uint64 `json:"warmup_uops,omitempty"`
 }
 
 func (j Job) seeds() int {
@@ -164,13 +161,10 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 		return nil, fmt.Errorf("runner: Seeds is %d — the replica count must be explicit; set Seeds: 1 for a single replica", job.Seeds)
 	}
 	if job.Sampling != nil {
-		return nil, errors.New("runner: job requests sampled simulation; execute it with internal/sample.Run (runner.Run is the full-window path)")
+		return nil, errors.New("runner: job requests sampled simulation; execute it with internal/sample.RunResult (runner.Run is the full-window path)")
 	}
-	if (job.Gen != nil || job.NewGen != nil) && job.seeds() > 1 {
+	if job.NewGen != nil && job.seeds() > 1 {
 		return nil, errors.New("runner: a generator override supports a single seed only")
-	}
-	if job.Gen != nil && job.NewGen != nil {
-		return nil, errors.New("runner: Gen and NewGen are mutually exclusive generator overrides")
 	}
 	tim := obs.ContextTimings(ctx)
 	observe := func(stage string, since time.Time) {
@@ -182,11 +176,10 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 	for s := 0; s < job.seeds(); s++ {
 		replica := job.Spec
 		replica.Seed = job.Spec.Seed + uint64(s)*SeedStride
-		gen := job.Gen
-		if gen == nil && job.NewGen != nil {
+		var gen isa.Generator
+		if job.NewGen != nil {
 			gen = job.NewGen()
-		}
-		if gen == nil {
+		} else {
 			gen = replica.New()
 		}
 		begin := time.Now()

@@ -119,20 +119,20 @@ func TestDeadlineCancelsMidRun(t *testing.T) {
 	}
 }
 
-// TestGenWithMultipleSeedsRejected: a one-shot generator cannot back
-// several replicas.
+// TestGenWithMultipleSeedsRejected: a generator override replays one
+// fixed stream, so it cannot back several perturbed-seed replicas.
 func TestGenWithMultipleSeedsRejected(t *testing.T) {
 	spec := mcf(t)
 	_, err := Run(context.Background(), Job{
 		Config:      config.Baseline(),
 		Spec:        spec,
-		Gen:         spec.New(),
+		NewGen:      spec.New,
 		WarmupUops:  100,
 		MeasureUops: 100,
 		Seeds:       2,
 	})
 	if err == nil {
-		t.Error("Gen with Seeds=2 accepted, want error")
+		t.Error("NewGen with Seeds=2 accepted, want error")
 	}
 }
 
@@ -181,7 +181,7 @@ func TestRejectsEmptyWindowAndImplicitSeeds(t *testing.T) {
 }
 
 // TestRejectsSampledJob: runner.Run is the full-window path; a job
-// carrying a Sampling spec must be routed through internal/sample.Run,
+// carrying a Sampling spec must be routed through internal/sample.RunResult,
 // and silently ignoring the spec would return full-run statistics under a
 // sampled content address.
 func TestRejectsSampledJob(t *testing.T) {

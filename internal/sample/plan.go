@@ -86,7 +86,7 @@ func (p *Plan) SampledFraction() float64 {
 	return float64(len(p.Points)) / float64(p.Intervals)
 }
 
-// String renders the plan as the simpoint table cmd/rfpsample prints.
+// String renders the plan as the simpoint table rfpsim -sample prints.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d intervals x %d uops -> %d simpoints (%.1f%% of window, error bound %.3f)\n",

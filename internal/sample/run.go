@@ -26,8 +26,9 @@ const (
 )
 
 // PlanSeedSalt decorrelates the clustering seed from the workload seed
-// (which already drives uop generation). Exported so cmd/rfpsample derives
-// the exact plan a sampled run would replay.
+// (which already drives uop generation). Exported so callers outside this
+// package (the benchmark's plan layer) derive the exact plan a sampled run
+// would replay.
 const PlanSeedSalt = 0x51A4B0177E5EED
 
 // Normalized returns sp with the documented defaults applied: 2000-uop
@@ -62,8 +63,6 @@ func Validate(job runner.Job) error {
 	}
 	sp := Normalized(*job.Sampling)
 	switch {
-	case job.Gen != nil:
-		return errors.New("sample: sampling needs a re-instantiable, forkable uop source (a catalog workload or a NewGen factory), not a one-shot generator")
 	case job.NewGen != nil && isa.Clone(job.NewGen()) == nil:
 		return errors.New("sample: sampling needs a forkable uop source, but the NewGen factory's generator cannot be cloned (a trace must be decoded from in-memory bytes)")
 	case job.Seeds > 1:
@@ -87,20 +86,11 @@ type Result struct {
 	Plan *Plan
 }
 
-// Run executes a job, sampled when job.Sampling is set and as a plain
-// full-window runner.Run otherwise. It is the execution entry point the
-// service daemon, the sweep local backend and cmd/rfpsim share.
-func Run(ctx context.Context, job runner.Job) (*stats.Sim, error) {
-	res, err := RunResult(ctx, job)
-	if err != nil {
-		return nil, err
-	}
-	return res.Stats, nil
-}
-
-// RunResult is Run plus the replay plan, for callers that report the
-// error bound and sampled volume (the service response, cmd/rfpsample).
-// It is RunFamily over the one job.
+// RunResult executes one job, sampled when job.Sampling is set and as a
+// plain full-window runner.Run otherwise, and returns its statistics with
+// the replay plan. It is the single-job entry point the service daemon,
+// the sweep local backend, the differential harness and cmd/rfpsim
+// share. It is RunFamily over the one job.
 func RunResult(ctx context.Context, job runner.Job) (Result, error) {
 	res, errs := RunFamily(ctx, []runner.Job{job})
 	return res[0], errs[0]

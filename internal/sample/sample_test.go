@@ -145,11 +145,6 @@ func TestValidateRejections(t *testing.T) {
 	if err := Validate(multi); err == nil || !strings.Contains(err.Error(), "single seed") {
 		t.Fatalf("Seeds=3 error = %v", err)
 	}
-	gen := base
-	gen.Gen = spec.New()
-	if err := Validate(gen); err == nil || !strings.Contains(err.Error(), "generator") {
-		t.Fatalf("Gen override error = %v", err)
-	}
 	short := base
 	short.MeasureUops = 500
 	if err := Validate(short); err == nil || !strings.Contains(err.Error(), "interval") {

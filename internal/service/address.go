@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -11,7 +10,6 @@ import (
 	"strings"
 
 	"rfpsim/internal/fabric"
-	"rfpsim/internal/isa"
 	"rfpsim/internal/runner"
 	"rfpsim/internal/sample"
 	"rfpsim/internal/trace"
@@ -34,8 +32,8 @@ func (req SimRequest) normalized() SimRequest {
 		req.Seeds = 1
 	}
 	if req.Sampling != nil {
-		norm := sample.Normalized(*req.Sampling.toRunner())
-		req.Sampling = fromRunner(&norm)
+		norm := sample.Normalized(*req.Sampling)
+		req.Sampling = &norm
 	}
 	return req
 }
@@ -98,7 +96,7 @@ func resolveRequest(req SimRequest) (*resolvedJob, error) {
 	rj.job.MeasureUops = req.MeasureUops
 	rj.job.Seeds = req.Seeds
 	rj.job.ColdCaches = req.ColdCaches
-	rj.job.Sampling = req.Sampling.toRunner()
+	rj.job.Sampling = req.Sampling
 	if req.Sampling != nil {
 		// Trace-sourced jobs sample too: attachTraceGen attaches a NewGen
 		// factory that re-decodes the stored bytes, which is the
@@ -135,7 +133,7 @@ func resolveRequest(req SimRequest) (*resolvedJob, error) {
 // ResolveJob validates a request into the runner job it would execute and
 // the content address the daemon's result cache files it under. Trace
 // uploads get their generator attached, so the returned job is directly
-// runnable via sample.Run (which is runner.Run for full-window jobs);
+// runnable via sample.RunResult (which is runner.Run for full-window jobs);
 // callers outside the daemon (cmd/rfpsweep's local backend) therefore
 // execute the exact code path a POST /v1/sim would, producing
 // bit-identical statistics. Requests referencing an uploaded trace by
@@ -183,26 +181,19 @@ func (rj *resolvedJob) loadTrace(traces *TraceStore) error {
 	return nil
 }
 
-// attachTraceGen validates raw once and attaches a re-instantiable
-// generator factory: every call re-decodes the same bytes, and each
-// reader decodes them in place and so is forkable, so sampled execution
-// can profile the stream and then fork a replay core at every interval.
-// Seed replicas are structurally impossible (the runner rejects NewGen
-// with Seeds > 1). A sampled job is re-validated with the factory
-// attached, so a source sampling cannot fork fails here, at resolve time.
+// attachTraceGen attaches a tracefile.Factory over raw as the job's
+// generator: every call re-decodes the same bytes and every reader is
+// forkable, so sampled execution can profile the stream and then fork a
+// replay core at every interval. Seed replicas are structurally
+// impossible (the runner rejects NewGen with Seeds > 1). A sampled job is
+// re-validated with the factory attached, so a source sampling cannot
+// fork fails here, at resolve time.
 func attachTraceGen(job *runner.Job, raw []byte) error {
-	name := job.Spec.Name
-	if _, err := tracefile.NewReader(bytes.NewReader(raw), name); err != nil {
+	newGen, err := tracefile.Factory(raw, job.Spec.Name)
+	if err != nil {
 		return fmt.Errorf("bad trace upload: %w", err)
 	}
-	job.NewGen = func() isa.Generator {
-		r, err := tracefile.NewReader(bytes.NewReader(raw), name)
-		if err != nil {
-			// The header was validated above and the bytes are immutable.
-			panic("service: validated trace failed to reopen: " + err.Error())
-		}
-		return r
-	}
+	job.NewGen = newGen
 	return sample.Validate(*job)
 }
 

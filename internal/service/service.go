@@ -13,6 +13,7 @@ package service
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"rfpsim/internal/experiments"
 	"rfpsim/internal/fabric"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
@@ -160,38 +162,11 @@ type SimRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// SamplingSpec is the wire form of runner.Sampling: zero values select the
+// SamplingSpec is the wire form of a sampling request: runner.Sampling
+// itself, whose JSON tags are the wire field names. Zero values select the
 // internal/sample defaults (2000-uop intervals, 5 representatives, one
 // interval of per-point cycle warmup).
-type SamplingSpec struct {
-	IntervalUops uint64 `json:"interval_uops,omitempty"`
-	MaxK         int    `json:"max_k,omitempty"`
-	WarmupUops   uint64 `json:"warmup_uops,omitempty"`
-}
-
-// toRunner converts the wire spec to the runner's job form.
-func (sp *SamplingSpec) toRunner() *runner.Sampling {
-	if sp == nil {
-		return nil
-	}
-	return &runner.Sampling{
-		IntervalUops: sp.IntervalUops,
-		MaxK:         sp.MaxK,
-		WarmupUops:   sp.WarmupUops,
-	}
-}
-
-// fromRunner converts a runner sampling spec back to wire form.
-func fromRunner(sp *runner.Sampling) *SamplingSpec {
-	if sp == nil {
-		return nil
-	}
-	return &SamplingSpec{
-		IntervalUops: sp.IntervalUops,
-		MaxK:         sp.MaxK,
-		WarmupUops:   sp.WarmupUops,
-	}
-}
+type SamplingSpec = runner.Sampling
 
 // SimResponse is the POST /v1/sim result body. It contains no wall-clock
 // or otherwise nondeterministic fields: identical requests produce
@@ -229,6 +204,23 @@ type SimResponse struct {
 	Stats *stats.Sim `json:"stats"`
 }
 
+// WriteCSVRows writes r's ipc, cycles and instructions rows under label
+// in the experiments.MetricsCSVHeader schema. It is the one row renderer
+// behind the sweep and console CSVs, so a sweep CSV and a console CSV of
+// the same simulations are byte-identical modulo labels.
+func (r *SimResponse) WriteCSVRows(cw *csv.Writer, label string) error {
+	for _, row := range [...][]string{
+		{label, "ipc", experiments.FormatMetric(r.IPC)},
+		{label, "cycles", experiments.FormatCount(r.Cycles)},
+		{label, "instructions", experiments.FormatCount(r.Instructions)},
+	} {
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Response assembles the deterministic result body for a completed job.
 // The daemon and the sweep orchestrator's local backend share it, so a
 // unit executed in-process reports exactly what a POST /v1/sim would.
@@ -247,7 +239,7 @@ func Response(job runner.Job, res sample.Result) SimResponse {
 	}
 	if res.Plan != nil {
 		norm := sample.Normalized(*job.Sampling)
-		resp.Sampling = fromRunner(&norm)
+		resp.Sampling = &norm
 		resp.SampledPoints = len(res.Plan.Points)
 		resp.SampledUops = res.Plan.MeasuredUops()
 		resp.SamplingErrorBound = res.Plan.ErrorBound
@@ -293,7 +285,7 @@ type Server struct {
 	sched     *scheduler
 	wg        sync.WaitGroup
 	metrics   *Metrics
-	cache     *resultCache
+	cache     *lru[[]byte]
 	disk      *fabric.DiskCache // nil without Options.Fabric.Dir
 	flights   fabric.FlightGroup
 	traces    *TraceStore
@@ -471,7 +463,7 @@ func (s *Server) execute(ctx context.Context, rj *resolvedJob) jobResult {
 		return jobResult{err: err}
 	}
 	body = append(body, '\n')
-	s.cache.put(rj.key, body)
+	s.cache.put(rj.key, body, int64(len(body)))
 	if s.disk != nil {
 		// Best effort: a full disk degrades the daemon to memory-only
 		// caching, it does not fail requests.
@@ -665,7 +657,7 @@ func (s *Server) Do(ctx context.Context, req SimRequest, tenant string) (*DoResu
 	// Tier 2: the persistent disk cache (promoted into memory on hit).
 	if s.disk != nil {
 		if body, ok := s.disk.Get(rj.key); ok {
-			s.cache.put(rj.key, body)
+			s.cache.put(rj.key, body, int64(len(body)))
 			log.Info("job served from cache", "tier", "disk", "key", rj.key[:12])
 			return &DoResult{Body: body, Tier: "disk", Key: rj.key}, nil
 		}

@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"rfpsim/internal/isa"
 	"rfpsim/internal/tracefile"
@@ -61,13 +59,8 @@ type TraceInfo struct {
 // entries back into memory, which is how a trace uploaded before a
 // daemon restart keeps resolving after it.
 type TraceStore struct {
-	mu         sync.Mutex
-	entries    map[string]*list.Element
-	lru        *list.List // front = most recently used
-	maxEntries int
-	maxBytes   int64
-	totalBytes int64
-	disk       TraceDiskTier // nil when memory-only
+	mem  *lru[traceStoreEntry]
+	disk TraceDiskTier // nil when memory-only
 }
 
 type traceStoreEntry struct {
@@ -85,13 +78,7 @@ func NewTraceStore(maxEntries int, maxBytes int64, disk TraceDiskTier) *TraceSto
 	if maxBytes <= 0 {
 		maxBytes = defaultTraceBytes
 	}
-	return &TraceStore{
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		disk:       disk,
-	}
+	return &TraceStore{mem: newLRU[traceStoreEntry](maxEntries, maxBytes), disk: disk}
 }
 
 // TraceAddress returns the content address of raw trace bytes: the
@@ -141,13 +128,9 @@ func (s *TraceStore) Add(raw []byte) (TraceInfo, bool, error) {
 		Uops:     uops,
 	}
 
-	s.mu.Lock()
-	if el, ok := s.entries[addr]; ok {
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
+	if _, ok := s.mem.get(addr); ok {
 		return info, true, nil
 	}
-	s.mu.Unlock()
 
 	dedup := false
 	if s.disk != nil {
@@ -159,23 +142,16 @@ func (s *TraceStore) Add(raw []byte) (TraceInfo, bool, error) {
 			_ = s.disk.Put(addr, raw)
 		}
 	}
-	s.mu.Lock()
-	s.insertLocked(info, raw)
-	s.mu.Unlock()
+	s.mem.put(addr, traceStoreEntry{info: info, raw: raw}, info.Bytes)
 	return info, dedup, nil
 }
 
 // Get returns the raw bytes and info of a stored trace, falling back to
 // (and promoting from) the persistent tier on a memory miss.
 func (s *TraceStore) Get(addr string) ([]byte, TraceInfo, bool) {
-	s.mu.Lock()
-	if el, ok := s.entries[addr]; ok {
-		s.lru.MoveToFront(el)
-		e := el.Value.(*traceStoreEntry)
-		s.mu.Unlock()
+	if e, ok := s.mem.get(addr); ok {
 		return e.raw, e.info, true
 	}
-	s.mu.Unlock()
 
 	if s.disk == nil {
 		return nil, TraceInfo{}, false
@@ -196,9 +172,7 @@ func (s *TraceStore) Get(addr string) ([]byte, TraceInfo, bool) {
 		Bytes:    int64(len(raw)),
 		Uops:     uops,
 	}
-	s.mu.Lock()
-	s.insertLocked(info, raw)
-	s.mu.Unlock()
+	s.mem.put(addr, traceStoreEntry{info: info, raw: raw}, info.Bytes)
 	return raw, info, true
 }
 
@@ -206,34 +180,13 @@ func (s *TraceStore) Get(addr string) ([]byte, TraceInfo, bool) {
 // Traces evicted to the persistent tier are not listed but still resolve
 // by address.
 func (s *TraceStore) List() []TraceInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TraceInfo, 0, len(s.entries))
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*traceStoreEntry).info)
+	entries := s.mem.values()
+	out := make([]TraceInfo, len(entries))
+	for i, e := range entries {
+		out[i] = e.info
 	}
 	return out
 }
 
 // Len returns the in-memory trace count.
-func (s *TraceStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-func (s *TraceStore) insertLocked(info TraceInfo, raw []byte) {
-	if el, ok := s.entries[info.Address]; ok {
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[info.Address] = s.lru.PushFront(&traceStoreEntry{info: info, raw: raw})
-	s.totalBytes += info.Bytes
-	for (len(s.entries) > s.maxEntries || s.totalBytes > s.maxBytes) && s.lru.Len() > 1 {
-		victim := s.lru.Back()
-		e := victim.Value.(*traceStoreEntry)
-		s.lru.Remove(victim)
-		delete(s.entries, e.info.Address)
-		s.totalBytes -= e.info.Bytes
-	}
-}
+func (s *TraceStore) Len() int { return s.mem.len() }

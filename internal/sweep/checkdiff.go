@@ -9,9 +9,11 @@ import (
 	"sync"
 
 	"rfpsim/internal/check"
+	"rfpsim/internal/config"
 	"rfpsim/internal/experiments"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
+	"rfpsim/internal/service"
 )
 
 // DiffUnit is one check_diff grid point: a variant configuration under
@@ -57,26 +59,11 @@ func (s *Spec) ExpandDiff() ([]DiffUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, ax := range s.Axes {
-		if ax.Knob == "" || len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %d needs a knob and at least one value", i)
-		}
-	}
-
-	choice := make([]int, len(s.Axes))
 	var units []DiffUnit
-	for {
-		cfg, err := applyAxes(s.Base, s.Axes, choice)
-		if err != nil {
-			return nil, err
-		}
-		variant, err := cfg.Build()
-		if err != nil {
-			return nil, fmt.Errorf("sweep: grid point %s: %w", pointLabel(s.Axes, choice), err)
-		}
+	err = s.eachPoint(func(_ service.ConfigSpec, variant config.Core, point string) error {
 		base, sampledVsFull, err := check.BaseFor(mode, variant)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, wl := range specs {
 			d := check.Differential{
@@ -85,29 +72,18 @@ func (s *Spec) ExpandDiff() ([]DiffUnit, error) {
 				Uops: s.MeasureUops,
 			}
 			if sampledVsFull {
-				d.VariantSampling = &runner.Sampling{}
-				if sp := s.Sampling; sp != nil {
-					d.VariantSampling = &runner.Sampling{
-						IntervalUops: sp.IntervalUops,
-						MaxK:         sp.MaxK,
-						WarmupUops:   sp.WarmupUops,
-					}
+				sp := runner.Sampling{}
+				if s.Sampling != nil {
+					sp = *s.Sampling
 				}
+				d.VariantSampling = &sp
 			}
-			label := s.Name + "/" + wl.Name + "/" + pointLabel(s.Axes, choice)
-			units = append(units, DiffUnit{Label: label, Diff: d})
+			units = append(units, DiffUnit{Label: s.Name + "/" + wl.Name + "/" + point, Diff: d})
 		}
-		i := len(s.Axes) - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(s.Axes[i].Values) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			break
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return units, nil
 }

@@ -38,16 +38,12 @@ func unitGroupKey(u Unit) (groupKey, bool) {
 		return groupKey{}, false
 	}
 	return groupKey{
-		workload: req.Workload,
-		warmup:   req.WarmupUops,
-		measure:  req.MeasureUops,
-		seeds:    req.Seeds,
-		cold:     req.ColdCaches,
-		sampling: sample.Normalized(runner.Sampling{
-			IntervalUops: req.Sampling.IntervalUops,
-			MaxK:         req.Sampling.MaxK,
-			WarmupUops:   req.Sampling.WarmupUops,
-		}),
+		workload:   req.Workload,
+		warmup:     req.WarmupUops,
+		measure:    req.MeasureUops,
+		seeds:      req.Seeds,
+		cold:       req.ColdCaches,
+		sampling:   sample.Normalized(*req.Sampling),
 		functional: config.FunctionalKey(cfg),
 	}, true
 }

@@ -256,15 +256,8 @@ func (s *Summary) WriteCSV(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		rows := [][]string{
-			{u.Label, "ipc", experiments.FormatMetric(resp.IPC)},
-			{u.Label, "cycles", experiments.FormatCount(resp.Cycles)},
-			{u.Label, "instructions", experiments.FormatCount(resp.Instructions)},
-		}
-		for _, row := range rows {
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+		if err := resp.WriteCSVRows(cw, u.Label); err != nil {
+			return err
 		}
 	}
 	cw.Flush()

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rfpsim/internal/config"
 	"rfpsim/internal/fabric"
 	"rfpsim/internal/service"
 	"rfpsim/internal/trace"
@@ -218,6 +219,46 @@ func axisLabel(ax Axis, v json.RawMessage) string {
 	return ax.Knob + "=" + buf.String()
 }
 
+// eachPoint validates the axes and calls fn for every grid point in
+// deterministic order — the cartesian product of the axes, first axis
+// slowest — with the point's config spec, the configuration it builds and
+// its knob label. A point whose configuration does not build is an
+// error, as is any error fn returns; both stop the walk.
+func (s *Spec) eachPoint(fn func(cfg service.ConfigSpec, built config.Core, label string) error) error {
+	for i, ax := range s.Axes {
+		if ax.Knob == "" || len(ax.Values) == 0 {
+			return fmt.Errorf("sweep: axis %d needs a knob and at least one value", i)
+		}
+	}
+	choice := make([]int, len(s.Axes))
+	for {
+		cfg, err := applyAxes(s.Base, s.Axes, choice)
+		if err != nil {
+			return err
+		}
+		label := pointLabel(s.Axes, choice)
+		built, err := cfg.Build()
+		if err != nil {
+			return fmt.Errorf("sweep: grid point %s: %w", label, err)
+		}
+		if err := fn(cfg, built, label); err != nil {
+			return err
+		}
+		// Odometer increment over the axes, last axis fastest.
+		i := len(s.Axes) - 1
+		for ; i >= 0; i-- {
+			choice[i]++
+			if choice[i] < len(s.Axes[i].Values) {
+				break
+			}
+			choice[i] = 0
+		}
+		if i < 0 {
+			return nil
+		}
+	}
+}
+
 // Expand enumerates the full grid in deterministic order: the cartesian
 // product of the axes (first axis slowest), workloads innermost. Every
 // unit's configuration is validated by building it, and every unit is
@@ -232,23 +273,9 @@ func (s *Spec) Expand() ([]Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, ax := range s.Axes {
-		if ax.Knob == "" || len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %d needs a knob and at least one value", i)
-		}
-	}
-
-	choice := make([]int, len(s.Axes))
 	var units []Unit
 	byKey := map[string]string{}
-	for {
-		cfg, err := applyAxes(s.Base, s.Axes, choice)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := cfg.Build(); err != nil {
-			return nil, fmt.Errorf("sweep: grid point %s: %w", pointLabel(s.Axes, choice), err)
-		}
+	err = s.eachPoint(func(cfg service.ConfigSpec, _ config.Core, point string) error {
 		for _, wl := range specs {
 			req := service.SimRequest{
 				Workload:    wl.Name,
@@ -262,27 +289,19 @@ func (s *Spec) Expand() ([]Unit, error) {
 			}
 			key, err := service.ContentAddress(req)
 			if err != nil {
-				return nil, fmt.Errorf("sweep: %s/%s: %w", wl.Name, pointLabel(s.Axes, choice), err)
+				return fmt.Errorf("sweep: %s/%s: %w", wl.Name, point, err)
 			}
-			label := s.Name + "/" + displayName(wl.Name) + "/" + pointLabel(s.Axes, choice)
+			label := s.Name + "/" + displayName(wl.Name) + "/" + point
 			if prev, dup := byKey[key]; dup {
-				return nil, fmt.Errorf("sweep: units %s and %s resolve to the same simulation (key %s)", prev, label, key[:12])
+				return fmt.Errorf("sweep: units %s and %s resolve to the same simulation (key %s)", prev, label, key[:12])
 			}
 			byKey[key] = label
 			units = append(units, Unit{Label: label, Req: req, Key: key})
 		}
-		// Odometer increment over the axes, last axis fastest.
-		i := len(s.Axes) - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(s.Axes[i].Values) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			break
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return units, nil
 }

@@ -182,6 +182,27 @@ func NewReader(r io.Reader, name string) (*Reader, error) {
 	return &Reader{r: br, name: name}, nil
 }
 
+// Factory validates the header of an in-memory trace once and returns a
+// re-instantiable generator factory over it: every call re-decodes raw
+// from the start, so each generator replays the identical stream, and
+// each decodes raw in place and so is an isa.Cloner. This is the uop
+// source a trace-sourced runner.Job carries as NewGen; sampled replay
+// needs both properties (one generator to profile, one to fast-forward
+// and fork). raw must not be modified afterwards.
+func Factory(raw []byte, name string) (func() isa.Generator, error) {
+	if _, err := NewReader(bytes.NewReader(raw), name); err != nil {
+		return nil, err
+	}
+	return func() isa.Generator {
+		r, err := NewReader(bytes.NewReader(raw), name)
+		if err != nil {
+			// The header was validated above and raw is immutable.
+			panic("tracefile: validated trace failed to reopen: " + err.Error())
+		}
+		return r
+	}, nil
+}
+
 // Name implements isa.Generator.
 func (t *Reader) Name() string { return t.name }
 

@@ -385,3 +385,108 @@ func TestReaderCloneProperty(t *testing.T) {
 		t.Fatal("a reader over a non-rewindable stream cloned itself")
 	}
 }
+
+// encodeWorkload writes the first n uops of a catalog workload as an
+// in-memory trace and returns its bytes and the uops themselves.
+func encodeWorkload(t *testing.T, name string, n int) ([]byte, []isa.MicroOp) {
+	t.Helper()
+	spec, ok := trace.ByName(name)
+	if !ok {
+		t.Fatalf("catalog workload %s missing", name)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	g := spec.New()
+	ops := make([]isa.MicroOp, n)
+	for i := range ops {
+		g.Next(&ops[i])
+		if err := w.Write(&ops[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), ops
+}
+
+// TestFactoryReplaysIdenticalStreams: every generator a Factory returns
+// replays the whole trace from its first uop, however far an earlier one
+// was drawn, and carries the given name.
+func TestFactoryReplaysIdenticalStreams(t *testing.T) {
+	raw, want := encodeWorkload(t, "spec06_mcf", 5000)
+	newGen, err := Factory(raw, "mcf.rfpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := newGen()
+	var op isa.MicroOp
+	for i := 0; i < 1234; i++ {
+		first.Next(&op)
+	}
+	for call := 0; call < 2; call++ {
+		g := newGen()
+		if g.Name() != "mcf.rfpt" {
+			t.Errorf("call %d: name %q, want mcf.rfpt", call, g.Name())
+		}
+		for i := range want {
+			if !g.Next(&op) {
+				t.Fatalf("call %d: stream ended after %d uops", call, i)
+			}
+			if op != want[i] {
+				t.Fatalf("call %d: uop %d is %+v, want %+v", call, i, op, want[i])
+			}
+		}
+		if g.Next(&op) {
+			t.Fatalf("call %d: stream runs past the trace", call)
+		}
+	}
+}
+
+// TestFactoryGeneratorsClone: a generator from a Factory is an
+// isa.Cloner, and a clone taken mid-stream continues exactly where the
+// original does.
+func TestFactoryGeneratorsClone(t *testing.T) {
+	raw, want := encodeWorkload(t, "spec06_gcc", 5000)
+	newGen, err := Factory(raw, "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGen()
+	var op isa.MicroOp
+	const at = 2000
+	for i := 0; i < at; i++ {
+		g.Next(&op)
+	}
+	c := isa.Clone(g)
+	if c == nil {
+		t.Fatal("a Factory generator is not cloneable")
+	}
+	var fromOrig isa.MicroOp
+	for i := at; i < len(want); i++ {
+		if !c.Next(&op) || !g.Next(&fromOrig) {
+			t.Fatalf("stream ended at uop %d", i)
+		}
+		if op != want[i] || fromOrig != want[i] {
+			t.Fatalf("uop %d: clone %+v, original %+v, want %+v", i, op, fromOrig, want[i])
+		}
+	}
+}
+
+// TestFactoryRejectsBadHeader: a malformed header fails when the factory
+// is built, not later inside the closure.
+func TestFactoryRejectsBadHeader(t *testing.T) {
+	raw, _ := encodeWorkload(t, "spec06_mcf", 10)
+	badVersion := append([]byte(nil), raw...)
+	badVersion[len(Magic)] = 99
+	for name, bad := range map[string][]byte{
+		"magic":     []byte("NOPE0123456789ABCDEF"),
+		"version":   badVersion,
+		"truncated": Magic[:],
+	} {
+		newGen, err := Factory(bad, "x")
+		if err == nil || newGen != nil {
+			t.Errorf("%s: Factory returned (%v, %v), want an error and no factory", name, newGen != nil, err)
+		}
+	}
+}
