@@ -93,6 +93,24 @@ func BenchmarkRFPSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(chunk*b.N)/b.Elapsed().Seconds(), "uops/s")
 }
 
+// BenchmarkMemBoundThroughput measures simulation speed where the cycle
+// loop waits on memory: spec06_mcf under RFP+CLP with the stream L1
+// prefetcher, at an IPC far below the spec06_gcc throughput benchmarks.
+// Most cycles issue little, so the cost of finding ready uops dominates.
+func BenchmarkMemBoundThroughput(b *testing.B) {
+	spec, _ := trace.ByName("spec06_mcf")
+	c := core.New(config.Baseline().WithCLP().WithPrefetcher("stream"), spec.New())
+	c.WarmCaches()
+	b.ResetTimer()
+	const chunk = 10000
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Run(context.Background(), chunk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(chunk*b.N)/b.Elapsed().Seconds(), "uops/s")
+}
+
 // BenchmarkSampledRun measures a sampled job end to end: sample.RunResult on
 // spec06_mcf under RFP+CLP with the managed L1 prefetcher, at the
 // rfpbench sampled-sweep size (warmup 20K, measure 100K, default plan).

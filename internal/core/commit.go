@@ -37,7 +37,7 @@ func (c *Core) commit() {
 	}()
 	for ; n < c.cfg.Width && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
-		if !e.valid || !e.issued || e.doneReal > c.cycle || e.execDone > c.cycle {
+		if !e.valid || !e.issued || c.doneReal[c.robHead] > c.cycle || e.execDone > c.cycle {
 			if e.valid && n == 0 {
 				c.blameHeadStall(e)
 			}
@@ -88,8 +88,8 @@ func (c *Core) blameHeadStall(e *entry) {
 		return // marked at its own retirement via stalledHead
 	}
 	for s := 0; s < 2; s++ {
-		if p := c.producerOf(e, s); p != nil && p.isLoad() && p.doneReal > c.cycle {
-			c.crit.MarkCritical(p.op.PC)
+		if p := c.producerOf(e, s); p >= 0 && c.rob[p].isLoad() && c.doneReal[p] > c.cycle {
+			c.crit.MarkCritical(c.rob[p].op.PC)
 		}
 	}
 }
@@ -150,7 +150,10 @@ func (c *Core) retire(e *entry) {
 		c.onCommit(&e.op)
 	}
 	e.valid = false
-	c.robHead = (c.robHead + 1) % len(c.rob)
+	c.retiredSeq = e.op.Seq
+	if c.robHead++; c.robHead == len(c.rob) {
+		c.robHead = 0
+	}
 	c.robCount--
 	c.committed++
 }
@@ -200,6 +203,9 @@ func (c *Core) flushFrom(fromOff int, refetch bool) {
 		op := e.op
 		op.Seq = 0 // reassigned at re-dispatch
 		squashed = append(squashed, op)
+		if e.inRS {
+			c.rsCount--
+		}
 
 		switch {
 		case e.isLoad():
@@ -221,9 +227,9 @@ func (c *Core) flushFrom(fromOff int, refetch bool) {
 			}
 		}
 	}
-	// The squashed suffix is the young tail of every index.
+	// The squashed suffix is the young tail of both LSQ indexes. Wakeup
+	// bits of squashed slots go stale, which issue tolerates.
 	if firstSeq != 0 {
-		c.truncateRS(firstSeq)
 		c.lq.truncate(firstSeq)
 		c.sq.truncate(firstSeq)
 	}

@@ -59,16 +59,20 @@ type Core struct {
 	rob      []entry
 	robHead  int
 	robCount int
-	// Scheduler indexes (sched.go): rs holds the reservation-station
-	// entries, lq and sq the in-flight loads and stores, each oldest
-	// first; their lengths are the RS, LQ and SQ occupancies.
-	// issueIdleUntil is a cycle before which no RS entry can pass the
-	// speculative-wakeup check (the least wakeAt), so issue has nothing
-	// to do.
-	rs             []rsRef
-	lq             lsqIndex
-	sq             lsqIndex
-	issueIdleUntil uint64
+	// Scheduler state (sched.go): rsCount is the RS occupancy; lq and sq
+	// index the in-flight loads and stores oldest first, their lengths
+	// the LQ and SQ occupancies; wake tracks which RS entries issue
+	// visits when. doneSpec and doneReal hold each ROB slot's result
+	// times, so wakeup checks read them without touching the entries.
+	// retiredSeq is the sequence number of the last retired uop.
+	rsCount    int
+	lq         lsqIndex
+	sq         lsqIndex
+	wake       wakeup
+	doneSpec   []uint64
+	doneReal   []uint64
+	sched      []uint64 // the one array wake, doneSpec and doneReal live in
+	retiredSeq uint64
 	// Physical register file. In the default (rename-time allocation)
 	// mode a real free list is maintained with the standard next-writer
 	// freeing discipline, and aratPReg tracks the current architectural-
@@ -97,10 +101,10 @@ type Core struct {
 	nextSeq           uint64
 	genDone           bool
 	ffConsumed        uint64 // uops consumed functionally by FastForward
-	// fetchOp is the generator scratch uop of fetch and FastForward. A
-	// stack-local would escape through the Generator interface call and
-	// heap-allocate once per fetched uop (or once per FastForward call);
-	// hoisting it here keeps both zero-alloc.
+	// fetchOp is FastForward's generator scratch uop (fetch generates
+	// straight into its fetch-queue record). A stack-local would escape
+	// through the Generator interface call and heap-allocate once per
+	// FastForward call; hoisting it here keeps it zero-alloc.
 	fetchOp isa.MicroOp
 
 	// squashBuf and mergeBuf are flushFrom/requeueFetchQ scratch storage,
@@ -153,13 +157,28 @@ func New(cfg config.Core, gen isa.Generator) *Core {
 	return newFull(cfg, gen, nil)
 }
 
-// newFull is New. A non-nil arrays hands its cache and DTLB arrays over
-// to the new core (mem.ReuseHierarchy) instead of it allocating its own.
-func newFull(cfg config.Core, gen isa.Generator, arrays *mem.Hierarchy) *Core {
+// newFull is New. A non-nil reuse, a core its caller has finished with,
+// hands its cache and DTLB arrays over to the new core
+// (mem.ReuseHierarchy), and its ROB and scheduler state too when the ROB
+// sizes match, instead of the new core allocating its own.
+func newFull(cfg config.Core, gen isa.Generator, reuse *Core) *Core {
+	var arrays *mem.Hierarchy
+	var rob []entry
+	var sched []uint64
+	if reuse != nil {
+		arrays = reuse.hier
+		if len(reuse.rob) == cfg.ROBSize {
+			rob, sched = reuse.rob, reuse.sched
+			clear(rob)
+		}
+	}
 	c := newWarmable(cfg, gen, cfg.Mem, arrays)
 	c.ss = predictor.NewStoreSets(10)
-	c.rob = make([]entry, cfg.ROBSize)
-	c.rs = make([]rsRef, 0, cfg.RSSize)
+	if rob == nil {
+		rob = make([]entry, cfg.ROBSize)
+	}
+	c.rob = rob
+	c.newSchedState(cfg.ROBSize, sched)
 	c.lq = newLSQIndex(cfg.LQSize)
 	c.sq = newLSQIndex(cfg.SQSize)
 	if cfg.RFP.Enabled {
@@ -376,8 +395,15 @@ func (c *Core) step() {
 	c.cycle++
 }
 
-// robIndex converts an offset from robHead into a ring index.
-func (c *Core) robIndex(offset int) int { return (c.robHead + offset) % len(c.rob) }
+// robIndex converts an offset from robHead, less than the ROB size, into
+// a ring index.
+func (c *Core) robIndex(offset int) int {
+	i := c.robHead + offset
+	if i >= len(c.rob) {
+		i -= len(c.rob)
+	}
+	return i
+}
 
 func (c *Core) fetchQLen() int { return len(c.fetchQ) - c.fetchHead }
 

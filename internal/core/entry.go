@@ -40,9 +40,9 @@ type entry struct {
 	// architecturally ready at rename. (Sequence 0 cannot be a producer
 	// because Seq is pre-incremented at dispatch.) srcIdx caches the
 	// producer's ROB ring slot — stable while the producer is in flight —
-	// so readiness checks are O(1): a slot whose occupant's Seq no longer
-	// matches means the producer committed (flushed producers are
-	// impossible: the consumer would have been flushed with them).
+	// so readiness checks are O(1): a producer whose Seq is not above the
+	// last retired one has committed (flushed producers are impossible:
+	// the consumer would have been flushed with them).
 	srcSeq [2]uint64
 	srcIdx [2]int32
 
@@ -59,16 +59,11 @@ type entry struct {
 	prevPReg      int32
 	earliestIssue uint64 // dispatch cycle + scheduling depth
 	retryAt       uint64 // next cycle a blocked/replayed entry may retry
-	// wakeAt is a cycle before which this RS entry cannot pass the
-	// speculative-wakeup check (specWake); its RS index member holds a
-	// copy.
-	wakeAt uint64
 
-	// doneSpec is when dependents believe the result arrives (speculative
-	// wakeup time); doneReal is when it actually does. They differ only
-	// while a load's hit/miss speculation is unresolved.
-	doneSpec uint64
-	doneReal uint64
+	// The result times live in Core.doneSpec and Core.doneReal, indexed by
+	// ROB slot: doneSpec is when dependents believe the result arrives
+	// (speculative wakeup time), doneReal is when it actually does. They
+	// differ only while a load's hit/miss speculation is unresolved.
 	// execDone is when the uop itself finished executing (for VP loads
 	// doneSpec/doneReal are the early predicted-value times while
 	// execDone tracks the validation access).

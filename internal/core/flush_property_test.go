@@ -37,7 +37,7 @@ func TestFlushReplayOrderProperty(t *testing.T) {
 				e.valid = rng.Intn(6) != 0
 				if e.valid {
 					e.inRS = true
-					c.rs = append(c.rs, rsRef{robRef: robRef{seq: e.op.Seq, slot: int32(c.robIndex(c.robCount))}})
+					c.rsCount++
 				}
 				c.robCount++
 			}
@@ -89,9 +89,9 @@ func TestFlushReplayOrderProperty(t *testing.T) {
 					survivors++
 				}
 			}
-			if len(c.rs) != survivors {
-				t.Fatalf("iter %d round %d: RS index holds %d entries after flushFrom(%d), want the %d survivors",
-					iter, round, len(c.rs), fromOff, survivors)
+			if c.rsCount != survivors {
+				t.Fatalf("iter %d round %d: RS count is %d after flushFrom(%d), want the %d survivors",
+					iter, round, c.rsCount, fromOff, survivors)
 			}
 			if c.fetchQLen() != 0 {
 				t.Fatalf("iter %d round %d: fetch queue not drained by flush", iter, round)

@@ -7,7 +7,6 @@ import (
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/isa"
-	"rfpsim/internal/mem"
 	"rfpsim/internal/predictor"
 )
 
@@ -45,7 +44,9 @@ import (
 //
 // A non-nil reuse is a fork its caller has finished with. The new fork
 // takes over its cache and DTLB arrays, which the copy above overwrites
-// completely, instead of allocating them; reuse must not be used again.
+// completely, and, when the ROB sizes match, its ROB and scheduler
+// arrays, cleared, instead of allocating them; reuse must not be used
+// again.
 //
 // Fork fails if the core has simulated, if its generator cannot be
 // cloned (see isa.Cloner), if cfg does not validate, or if cfg's or
@@ -73,11 +74,7 @@ func (c *Core) fork(cfg config.Core, reuse *Core) (*Core, error) {
 	if gen == nil {
 		return nil, fmt.Errorf("core: cannot fork: generator %q is not forkable", c.gen.Name())
 	}
-	var arrays *mem.Hierarchy
-	if reuse != nil {
-		arrays = reuse.hier
-	}
-	f := newFull(cfg, gen, arrays)
+	f := newFull(cfg, gen, reuse)
 	f.hier.CopyWarmState(c.hier)
 	switch bp := c.bp.(type) {
 	case *predictor.TAGE:

@@ -22,10 +22,12 @@ func (c *Core) fetch() {
 	// indefinitely.
 	maxQ := 4 * c.cfg.Width * c.cfg.FrontendLatency
 	for i := 0; i < c.cfg.Width && c.fetchQLen() < maxQ; i++ {
-		// The scratch uop lives on the Core: a local here escapes through
-		// the Generator interface call and costs one heap allocation per
-		// fetched uop.
-		op := &c.fetchOp
+		// The record is appended zeroed and filled in place (a local
+		// would be copied in whole); it is dropped again if the
+		// generator is exhausted.
+		c.fetchQ = append(c.fetchQ, fetched{})
+		f := &c.fetchQ[len(c.fetchQ)-1]
+		op := &f.op
 		if c.pendingHead < len(c.pending) {
 			*op = c.pending[c.pendingHead]
 			c.pendingHead++
@@ -34,13 +36,11 @@ func (c *Core) fetch() {
 				c.pendingHead = 0
 			}
 		} else if !genNext(c, op) {
+			c.fetchQ = c.fetchQ[:len(c.fetchQ)-1]
 			return
 		}
-		f := fetched{
-			op:          *op,
-			readyAt:     c.cycle + uint64(c.cfg.FrontendLatency),
-			pathAtFetch: c.fetchPath,
-		}
+		f.readyAt = c.cycle + uint64(c.cfg.FrontendLatency)
+		f.pathAtFetch = c.fetchPath
 		if op.IsBranch() {
 			f.predTaken = c.bp.Predict(op.PC)
 			f.mispredict = f.predTaken != op.Taken
@@ -56,9 +56,8 @@ func (c *Core) fetch() {
 			c.fetchPath = (c.fetchPath<<4 ^ (op.PC>>2)&0x7 ^ uint64(boolU(op.Taken))) & 0xFFFF
 		}
 		if op.IsLoad() {
-			c.dlvpAtFetch(&f)
+			c.dlvpAtFetch(f)
 		}
-		c.fetchQ = append(c.fetchQ, f)
 		if f.mispredict {
 			// Stop fetching: everything after this branch would be
 			// wrong-path. Issue resolves the branch and schedules the
@@ -151,14 +150,14 @@ func (c *Core) rename() {
 		if !c.canDispatch(&f.op) {
 			return
 		}
-		c.dispatchOne(*f)
+		c.dispatchOne(f)
 		c.fetchHead++
 	}
 }
 
 // canDispatch checks every structural resource the uop needs.
 func (c *Core) canDispatch(op *isa.MicroOp) bool {
-	if c.robCount >= len(c.rob) || len(c.rs) >= c.cfg.RSSize {
+	if c.robCount >= len(c.rob) || c.rsCount >= c.cfg.RSSize {
 		return false
 	}
 	if op.IsLoad() && c.lq.len() >= c.cfg.LQSize {
@@ -180,7 +179,7 @@ func (c *Core) canDispatch(op *isa.MicroOp) bool {
 }
 
 // dispatchOne renames and allocates one uop into the window.
-func (c *Core) dispatchOne(f fetched) {
+func (c *Core) dispatchOne(f *fetched) {
 	idx := c.robIndex(c.robCount)
 	e := &c.rob[idx]
 	e.reset()
@@ -192,8 +191,7 @@ func (c *Core) dispatchOne(f fetched) {
 	e.pathAtDispatch = c.pathHash
 	e.pathAtFetch = f.pathAtFetch
 	e.earliestIssue = c.cycle + uint64(c.cfg.SchedDepth)
-	e.doneSpec = farFuture
-	e.doneReal = farFuture
+	c.doneSpec[idx], c.doneReal[idx] = farFuture, farFuture
 	e.execDone = farFuture
 	e.predictedTaken = f.predTaken
 	e.mispredicted = f.mispredict
@@ -223,12 +221,11 @@ func (c *Core) dispatchOne(f fetched) {
 	}
 
 	c.robCount++
+	c.rsCount++
 	e.inRS = true
+	_, bound, park := c.specWake(e)
+	c.file(idx, park, bound)
 	ref := robRef{seq: e.op.Seq, slot: int32(idx)}
-	_, e.wakeAt = c.specWake(e)
-	c.rs = append(c.rs, rsRef{robRef: ref, wake: e.wakeAt})
-	// The new entry may wake before the recorded idle bound.
-	c.issueIdleUntil = min(c.issueIdleUntil, e.wakeAt)
 	c.traceUopEvent("dispatch  ", &e.op)
 
 	switch {
@@ -250,7 +247,7 @@ func (c *Core) dispatchOne(f fetched) {
 // prediction (EVES and/or the DLVP probe launched at fetch) and RFP packet
 // injection (§3.2: the prefetch is triggered immediately after renaming,
 // when the load's physical destination register is known).
-func (c *Core) dispatchLoad(e *entry, idx int, f fetched) {
+func (c *Core) dispatchLoad(e *entry, idx int, f *fetched) {
 	// Instrument operand readiness at allocation (§3: 63% of loads are
 	// not ready at allocation, which is RFP's run-ahead window).
 	if max(c.srcReadyAt(e, 0), c.srcReadyAt(e, 1)) <= c.cycle {
@@ -266,8 +263,7 @@ func (c *Core) dispatchLoad(e *entry, idx int, f fetched) {
 			e.vpWrong = val != e.op.Value
 			c.st.VP.Predicted++
 			// Dependents consume the predicted value right away.
-			e.doneSpec = c.cycle + 1
-			e.doneReal = c.cycle + 1
+			c.setDone(idx, c.cycle+1, c.cycle+1)
 		}
 	}
 	// DLVP/EPP: the early probe only helps if its data returned before
@@ -285,8 +281,7 @@ func (c *Core) dispatchLoad(e *entry, idx int, f fetched) {
 			// from the store queue, so the L1 probe read old data).
 			e.vpWrong = f.probeAddr != e.op.Addr
 			c.st.VP.Predicted++
-			e.doneSpec = c.cycle + 1
-			e.doneReal = c.cycle + 1
+			c.setDone(idx, c.cycle+1, c.cycle+1)
 		}
 	} else if f.dlvpPredicted {
 		e.dlvpAllocated = true
@@ -358,30 +353,6 @@ func boolU(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-// producerOf returns the in-flight producer of source s, or nil if the
-// source is architecturally ready (no producer, or it already committed).
-func (c *Core) producerOf(e *entry, s int) *entry {
-	seq := e.srcSeq[s]
-	if seq == 0 {
-		return nil
-	}
-	p := &c.rob[e.srcIdx[s]]
-	if !p.valid || p.op.Seq != seq {
-		return nil // slot recycled: the producer committed
-	}
-	return p
-}
-
-// srcReadyAt returns the cycle source s becomes actually available (0 when
-// already ready).
-func (c *Core) srcReadyAt(e *entry, s int) uint64 {
-	p := c.producerOf(e, s)
-	if p == nil {
-		return 0
-	}
-	return p.doneReal
 }
 
 // rfpPacket builds the prefetch packet for a load entry at ring slot idx:

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/trace"
@@ -194,8 +195,8 @@ func TestFunctionalKeyByReflection(t *testing.T) {
 }
 
 // TestForkReuseMatchesFresh: a fork that takes over a finished fork's
-// cache arrays equals one that allocates its own, before and after a
-// cycle-simulated interval, and allocates less.
+// cache arrays, ROB and scheduler state equals one that allocates its
+// own, before and after a cycle-simulated interval, and allocates less.
 func TestForkReuseMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	cfg := config.Baseline().WithCLP().WithPrefetcher("managed")
@@ -227,9 +228,10 @@ func TestForkReuseMatchesFresh(t *testing.T) {
 		t.Fatal(err1, err2)
 	}
 	m := cfg.Mem
-	arrays := uint64(12 * (m.L1Sets*m.L1Ways + m.L2Sets*m.L2Ways + m.LLCSets*m.LLCWays))
+	arrays := uint64(12*(m.L1Sets*m.L1Ways+m.L2Sets*m.L2Ways+m.LLCSets*m.LLCWays)) +
+		uint64(len(fresh.rob))*uint64(unsafe.Sizeof(entry{})) + 8*uint64(len(fresh.sched))
 	if reusedBytes+arrays > freshBytes {
-		t.Errorf("a fork over a finished one allocated %d bytes, a fresh fork %d: the %d bytes of cache arrays were not taken over",
+		t.Errorf("a fork over a finished one allocated %d bytes, a fresh fork %d: the %d bytes of cache arrays, ROB and scheduler state were not taken over",
 			reusedBytes, freshBytes, arrays)
 	}
 	if !reflect.DeepEqual(reused, fresh) {

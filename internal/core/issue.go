@@ -1,105 +1,123 @@
 package core
 
 import (
+	"math/bits"
+
 	"rfpsim/internal/isa"
 	"rfpsim/internal/rfp"
 	"rfpsim/internal/stats"
 )
 
-// issue scans the reservation stations in age order and selects up to
-// IssueWidth ready uops, respecting per-class execution port budgets.
-// Wakeup is speculative (based on predicted completion times); an entry
-// whose sources turn out not to be ready is dropped by the scoreboard and
-// re-issued later, consuming select bandwidth — the replay mechanism of
-// Stark et al. that RFP reuses for its cancel/re-dispatch (§3.3).
+// issue selects up to IssueWidth ready uops in age order, respecting
+// per-class execution port budgets. Wakeup is speculative (based on
+// predicted completion times); an entry whose sources turn out not to be
+// ready is dropped by the scoreboard and re-issued later, consuming select
+// bandwidth — the replay mechanism of Stark et al. that RFP reuses for its
+// cancel/re-dispatch (§3.3).
 //
-// The walk covers the RS index only and compacts issued entries out of it
-// as it goes. An entry whose wakeAt lies ahead is passed over without
-// reading the ROB; one that fails the speculative-wakeup check gets a new
-// wakeAt. A store that detects an ordering violation flushes younger
-// entries mid-walk, truncating the index behind the cursor, so the loop
-// re-reads its length every step. A walk in which no entry passes records
-// the least wakeAt (issueIdleUntil); until then issue returns at once.
+// The walk visits only the ready set (sched.go), after merging this
+// cycle's wheel bucket into it, from robHead across the ring's wrap point.
+// Every entry that can pass the speculative-wakeup check this cycle is in
+// it. A visited entry that stays in the RS keeps its bit if it may pass
+// next cycle and is filed again otherwise. A store that detects an
+// ordering violation flushes younger entries mid-walk, so each word is
+// read when the walk reaches it and each visited slot is checked.
 func (c *Core) issue() {
-	if c.cycle < c.issueIdleUntil {
-		return
-	}
+	w := &c.wake
+	w.merge(c.cycle)
 	slots := c.cfg.IssueWidth
-	woke := false
-	idleUntil := uint64(farFuture)
-	w, i := 0, 0
-	for ; i < len(c.rs) && slots > 0; i++ {
-		r := c.rs[i]
-		if c.cycle < r.wake {
-			idleUntil = min(idleUntil, r.wake)
-			c.rs[w] = r
-			w++
-			continue
+	head, n := c.robHead>>6, w.words
+	low := uint(c.robHead & 63)
+	for k := 0; k <= n && slots > 0; k++ {
+		i := head + k
+		if i >= n {
+			i -= n
 		}
-		e := &c.rob[r.slot]
-		// Speculative wakeup: only entries whose sources *claim* to be
-		// ready are selected.
-		ready, bound := c.specWake(e)
-		if ready {
-			woke = true
-			// Scoreboard check: a wrongly woken entry (a source's producer
-			// missed its speculative latency) burns the select slot and
-			// retries when the source actually completes.
-			if at := max(c.srcReadyAt(e, 0), c.srcReadyAt(e, 1)); at > c.cycle {
-				c.st.Replays++
-				e.retryAt = at
-				slots--
-			} else if c.tryIssue(e) {
-				slots--
+		mask := ^uint64(0)
+		switch k {
+		case 0:
+			mask <<= low // robHead and younger slots of its word
+		case n:
+			mask = 1<<low - 1 // the word's slots past the wrap point
+		}
+		for set := w.ready[i] & mask; set != 0 && slots > 0; set &= set - 1 {
+			b := bits.TrailingZeros64(set)
+			slot := i<<6 | b
+			if e := &c.rob[slot]; e.valid && e.inRS {
+				stays, used := c.visit(e, slot)
+				if used {
+					slots--
+				}
+				if stays {
+					continue
+				}
 			}
-			bound = e.retryAt
+			w.ready[i] &^= 1 << b
 		}
-		if e.inRS {
-			e.wakeAt = bound
-			r.wake = bound
-			idleUntil = min(idleUntil, bound)
-			c.rs[w] = r
-			w++
-		}
-	}
-	if w < i {
-		c.rs = c.rs[:w+copy(c.rs[w:], c.rs[i:])]
-	}
-	if !woke {
-		c.issueIdleUntil = idleUntil
 	}
 }
 
-// tryIssue attempts to start execution of e at the current cycle,
-// reporting whether it consumed an issue slot.
-func (c *Core) tryIssue(e *entry) bool {
+// visit runs the issue logic on the RS entry e at slot, reporting whether
+// it used an issue slot and whether e stays in the ready set because it
+// may pass next cycle. Otherwise e has left the RS or been filed again.
+func (c *Core) visit(e *entry, slot int) (stays, used bool) {
+	// Speculative wakeup: only entries whose sources *claim* to be ready
+	// are selected.
+	ready, bound, park := c.specWake(e)
+	if ready {
+		// Scoreboard check: a wrongly woken entry (a source's producer
+		// missed its speculative latency) burns the select slot and
+		// retries when the source actually completes.
+		if at := max(c.srcReadyAt(e, 0), c.srcReadyAt(e, 1)); at > c.cycle {
+			c.st.Replays++
+			e.retryAt = at
+			used = true
+		} else {
+			used = c.tryIssue(e, slot)
+		}
+		if !e.inRS {
+			c.rsCount--
+			return false, used
+		}
+		bound = e.retryAt
+	}
+	if park < 0 && bound <= c.cycle+1 {
+		return true, used
+	}
+	c.file(slot, park, bound)
+	return false, used
+}
+
+// tryIssue attempts to start execution of e, at ROB slot slot, at the
+// current cycle, reporting whether it consumed an issue slot.
+func (c *Core) tryIssue(e *entry, slot int) bool {
 	switch e.op.Class {
 	case isa.OpALU, isa.OpMul, isa.OpDiv, isa.OpNop:
 		if c.aluUsed >= c.cfg.ALUPorts || !c.claimDst(e) {
 			return false
 		}
 		c.aluUsed++
-		c.completeAt(e, c.cycle+uint64(e.op.Class.ExecLatency()))
+		c.completeAt(e, slot, c.cycle+uint64(e.op.Class.ExecLatency()))
 	case isa.OpFP, isa.OpFMA:
 		if c.fpUsed >= c.cfg.FPPorts || !c.claimDst(e) {
 			return false
 		}
 		c.fpUsed++
-		c.completeAt(e, c.cycle+uint64(e.op.Class.ExecLatency()))
+		c.completeAt(e, slot, c.cycle+uint64(e.op.Class.ExecLatency()))
 	case isa.OpBranch:
 		if c.branchUsed >= c.cfg.BranchPorts {
 			return false
 		}
 		c.branchUsed++
-		c.issueBranch(e)
+		c.issueBranch(e, slot)
 	case isa.OpStore:
 		if c.storeUsed >= c.cfg.StorePorts {
 			return false
 		}
 		c.storeUsed++
-		c.issueStore(e)
+		c.issueStore(e, slot)
 	case isa.OpLoad:
-		return c.issueLoad(e)
+		return c.issueLoad(e, slot)
 	}
 	return true
 }
@@ -159,16 +177,16 @@ func (c *Core) releaseDstAtSquash(e *entry) {
 	c.freePReg(e.op.Dst, e.pReg)
 }
 
-// completeAt marks e issued with the given completion time.
-func (c *Core) completeAt(e *entry, done uint64) {
+// completeAt marks e, at ROB slot slot, issued with the given completion
+// time.
+func (c *Core) completeAt(e *entry, slot int, done uint64) {
 	c.traceIssue(&e.op, done)
 	e.issued = true
 	e.inRS = false
 	// VP-predicted loads already published an early completion time for
 	// their dependents; keep it.
 	if !e.vpPredicted {
-		e.doneSpec = done
-		e.doneReal = done
+		c.setDone(slot, done, done)
 	}
 	e.execDone = done
 }
@@ -176,9 +194,9 @@ func (c *Core) completeAt(e *entry, done uint64) {
 // issueBranch resolves a branch: the direction predictor is trained, and a
 // misprediction schedules the frontend redirect that ends the fetch bubble
 // started at fetch time.
-func (c *Core) issueBranch(e *entry) {
+func (c *Core) issueBranch(e *entry, slot int) {
 	done := c.cycle + 1
-	c.completeAt(e, done)
+	c.completeAt(e, slot, done)
 	if e.mispredicted {
 		c.st.BranchMispredicts++
 		// Fetch resumes so the first correct-path uop renames about
@@ -196,8 +214,8 @@ func (c *Core) issueBranch(e *entry) {
 // executed and read the same word from a stale source must be flushed and
 // re-executed (the store-set predictor is trained so the pair synchronizes
 // in the future).
-func (c *Core) issueStore(e *entry) {
-	c.completeAt(e, c.cycle+1)
+func (c *Core) issueStore(e *entry, slot int) {
+	c.completeAt(e, slot, c.cycle+1)
 	e.addrKnown = true
 	// Stores fill the cache (write-allocate) but do not stall commit;
 	// the access is fired here for cache-content fidelity.
@@ -248,7 +266,7 @@ func (c *Core) issueStore(e *entry) {
 // issueLoad runs the demand-load pipeline: RFP consumption, store-queue
 // disambiguation, forwarding, and the cache access with speculative
 // hit/miss wakeup. Returns whether an issue slot was consumed.
-func (c *Core) issueLoad(e *entry) bool {
+func (c *Core) issueLoad(e *entry, slot int) bool {
 	// Late-allocation variation: a load needs its destination entry (the
 	// one its prefetch may already have claimed on its behalf) before it
 	// can produce a value.
@@ -298,7 +316,7 @@ func (c *Core) issueLoad(e *entry) bool {
 			if e.rfpFillAt > done {
 				done = e.rfpFillAt
 			}
-			c.completeAt(e, done)
+			c.completeAt(e, slot, done)
 			return true
 		} else {
 			// Wrong address (or data invalidated by an older store): the
@@ -333,7 +351,7 @@ func (c *Core) issueLoad(e *entry) bool {
 		}
 		e.hitLevel = stats.LevelL1
 		c.st.LoadHitLevel[stats.LevelL1]++
-		c.completeAt(e, c.cycle+c.hier.Latency(stats.LevelL1))
+		c.completeAt(e, slot, c.cycle+c.hier.Latency(stats.LevelL1))
 		return true
 	case storeScanWait:
 		e.retryAt = c.cycle + 2 // wait for the store to resolve
@@ -363,16 +381,15 @@ func (c *Core) issueLoad(e *entry) bool {
 		// validates it (checked at commit).
 		return true
 	}
-	e.doneReal = res.DoneAt
+	spec := res.DoneAt
 	if predictedHit {
 		// Dependents are woken assuming an L1 hit; if wrong they replay.
-		e.doneSpec = c.cycle + c.hier.Latency(stats.LevelL1)
+		spec = c.cycle + c.hier.Latency(stats.LevelL1)
 		if !actualHit {
 			c.st.HitMissMispredicts++
 		}
-	} else {
-		e.doneSpec = res.DoneAt
 	}
+	c.setDone(slot, spec, res.DoneAt)
 	return true
 }
 

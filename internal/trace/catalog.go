@@ -1,5 +1,15 @@
 package trace
 
+import "slices"
+
+// catalog is the suite, built once; catalogIndex maps each name to its
+// position. Spec holds no reference types, so a copy of an entry shares
+// nothing with it.
+var (
+	catalog      = buildCatalog()
+	catalogIndex = indexCatalog(catalog)
+)
+
 // Catalog returns the 65-workload suite mirroring the paper's Table 3:
 // the full SPEC CPU2017 suite, SPEC CPU2006, and well-known Cloud and
 // Client benchmarks, plus lammps. Each entry is a seeded kernel mix whose
@@ -12,7 +22,21 @@ package trace
 // stride-predictable, FSPEC is FP-latency-bound (low RFP sensitivity), and
 // a handful of workloads are strongly latency-critical with modest
 // coverage (xalancbmk, namd, lammps, hadoop).
-func Catalog() []Spec {
+//
+// The slice is the caller's own copy.
+func Catalog() []Spec { return slices.Clone(catalog) }
+
+// indexCatalog maps each spec's name to its position in specs.
+func indexCatalog(specs []Spec) map[string]int {
+	index := make(map[string]int, len(specs))
+	for i, s := range specs {
+		index[s.Name] = i
+	}
+	return index
+}
+
+// buildCatalog builds the suite Catalog returns.
+func buildCatalog() []Spec {
 	var specs []Spec
 	add := func(name string, cat Category, p profile) {
 		specs = append(specs, Spec{

@@ -72,6 +72,26 @@ func TestByNameAndByCategory(t *testing.T) {
 	}
 }
 
+// TestByNameSharesNothingWithCatalog pins the built-once catalog: ByName
+// does not allocate, and a caller editing the slice Catalog returned does
+// not change what ByName or a later Catalog call returns.
+func TestByNameSharesNothingWithCatalog(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ByName("spec06_mcf") }); n != 0 {
+		t.Errorf("ByName allocates %.1f times per call, want 0", n)
+	}
+	want, _ := ByName("spec06_mcf")
+	cat := Catalog()
+	for i := range cat {
+		cat[i].Name, cat[i].Seed, cat[i].prof = "edited", 1, profile{}
+	}
+	if got, ok := ByName("spec06_mcf"); !ok || got != want {
+		t.Errorf("ByName after editing Catalog's slice = %+v, %v; want %+v", got, ok, want)
+	}
+	if again := Catalog(); again[0].Name == "edited" {
+		t.Error("editing Catalog's slice changed a later Catalog call")
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	s, _ := ByName("spec06_gcc")
 	g1, g2 := s.New(), s.New()

@@ -367,12 +367,11 @@ func (g *generator) pick() *weightedKernel {
 
 func (g *generator) pick0() *emitter { return g.kernels[g.picked].e }
 
-// ByName returns the catalog entry with the given name.
+// ByName returns the catalog entry with the given name. It does not
+// allocate.
 func ByName(name string) (Spec, bool) {
-	for _, s := range Catalog() {
-		if s.Name == name {
-			return s, true
-		}
+	if i, ok := catalogIndex[name]; ok {
+		return catalog[i], true
 	}
 	return Spec{}, false
 }
@@ -380,7 +379,7 @@ func ByName(name string) (Spec, bool) {
 // ByCategory returns the catalog entries of one category, in catalog order.
 func ByCategory(c Category) []Spec {
 	var out []Spec
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		if s.Category == c {
 			out = append(out, s)
 		}
@@ -390,9 +389,8 @@ func ByCategory(c Category) []Spec {
 
 // Names returns all workload names, sorted.
 func Names() []string {
-	cat := Catalog()
-	names := make([]string, len(cat))
-	for i, s := range cat {
+	names := make([]string, len(catalog))
+	for i, s := range catalog {
 		names[i] = s.Name
 	}
 	sort.Strings(names)
