@@ -65,6 +65,9 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// One memo for the whole invocation: experiments that share a
+	// configuration reuse its runs instead of simulating them again.
+	ctx = experiments.WithMemo(ctx)
 
 	var csvW *csv.Writer
 	var csvFile *os.File

@@ -284,6 +284,10 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 // interval's commit digest with the matching window of a full run.
 func (c *Core) RetiredStreamPos() uint64 { return c.ffConsumed + c.committed }
 
+// ErrWedged is the error Run wraps when the pipeline wedges: a long
+// streak of cycles without a commit, which is a model bug.
+var ErrWedged = errors.New("core: pipeline wedged")
+
 // ctxCheckInterval is how many cycles pass between context polls inside
 // Run. Powers of two keep the check a mask in the hot loop.
 const ctxCheckInterval = 1024
@@ -292,8 +296,7 @@ const ctxCheckInterval = 1024
 // statistics. The context cancels an in-flight simulation: Run polls it
 // every ctxCheckInterval cycles and returns ctx.Err() (wrapped) with the
 // statistics window closed at the interruption point. It also returns an
-// error if the pipeline wedges (a model bug) — detected as a long streak of
-// cycles without any commit.
+// error wrapping ErrWedged if the pipeline wedges.
 func (c *Core) Run(ctx context.Context, n uint64) (*stats.Sim, error) {
 	if c.rob == nil {
 		return c.st, errors.New("core: a NewFunctional core cannot cycle-simulate; run a Fork of it")
@@ -315,8 +318,8 @@ func (c *Core) Run(ctx context.Context, n uint64) (*stats.Sim, error) {
 		if c.committed == lastCommitted {
 			idle++
 			if idle > 100000 {
-				return c.st, fmt.Errorf("core: pipeline wedged at cycle %d (%d/%d committed)",
-					c.cycle, c.committed, target)
+				return c.st, fmt.Errorf("%w at cycle %d (%d/%d committed)",
+					ErrWedged, c.cycle, c.committed, target)
 			}
 		} else {
 			idle = 0

@@ -99,16 +99,31 @@ func TestIndependentALUsSaturateWidth(t *testing.T) {
 
 func TestSerialLoadChainPaysL1Latency(t *testing.T) {
 	// ptr = load[ptr] with the SAME address every time (L1-resident):
-	// the chain's critical path is the 5-cycle L1 latency per load.
-	g := &loopGen{name: "chase", body: []isa.MicroOp{ld(0x10, 1, 1, 0x8000)}}
-	st := run(t, config.Baseline(), g, 10000)
-	ipc := st.IPC()
-	// 1 load per 5 cycles = 0.2 IPC.
-	if ipc < 0.17 || ipc > 0.23 {
-		t.Errorf("serial load chain IPC = %.3f, want ~0.2", ipc)
-	}
-	if st.LoadHitLevel[stats.LevelL1] < st.Loads*9/10 {
-		t.Errorf("expected nearly all L1 hits, got %v of %d", st.LoadHitLevel, st.Loads)
+	// the chain's critical path is the 5-cycle L1 latency per load
+	// (PAPER.md §1), and a load whose register was prefetched acts as a
+	// 1-cycle op. Past the start-up transient every further load of the
+	// chain costs exactly that, so cycles(2n) - cycles(n) pins the
+	// per-load latency; the intercept is logged, not asserted.
+	const n = 10000
+	for _, tc := range []struct {
+		cfg     config.Core
+		perLoad uint64
+	}{
+		{config.Baseline(), 5},
+		{config.Baseline().WithRFP(), 1},
+	} {
+		chain := func(uops uint64) *stats.Sim {
+			g := &loopGen{name: "chase", body: []isa.MicroOp{ld(0x10, 1, 1, 0x8000)}}
+			return run(t, tc.cfg, g, uops)
+		}
+		one, two := chain(n), chain(2*n)
+		if got := two.Cycles - one.Cycles; got != tc.perLoad*n {
+			t.Errorf("%s: %d more loads took %d more cycles, want %d per load", tc.cfg.Name, n, got, tc.perLoad)
+		}
+		t.Logf("%s: cycles(%d) = %d = %d*n%+d", tc.cfg.Name, n, one.Cycles, tc.perLoad, int64(one.Cycles)-int64(tc.perLoad*n))
+		if two.LoadHitLevel[stats.LevelL1] < two.Loads*9/10 {
+			t.Errorf("%s: expected nearly all L1 hits, got %v of %d", tc.cfg.Name, two.LoadHitLevel, two.Loads)
+		}
 	}
 }
 

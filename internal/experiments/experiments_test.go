@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -443,7 +444,11 @@ func TestRunConfigDeterministicUnderParallelism(t *testing.T) {
 
 // TestEveryExperimentRunsAtMicroScale executes all experiments on a
 // two-workload, tiny-window configuration so every Run function's plumbing
-// (config construction, pairing, metric assembly) is exercised in CI.
+// (config construction, pairing, metric assembly) is exercised in CI. It
+// then runs them all again in one memoized invocation, as cmd/experiments
+// does: the reports must match the standalone ones exactly (an experiment
+// that mutated shared statistics or sorted a shared slice would break
+// this), and the memo must simulate each distinct job once.
 func TestEveryExperimentRunsAtMicroScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
@@ -458,12 +463,14 @@ func TestEveryExperimentRunsAtMicroScale(t *testing.T) {
 	}
 	micro.WarmupUops = 3000
 	micro.MeasureUops = 6000
+	alone := map[string]*Result{}
 	for _, e := range All() {
 		res, err := e.Run(context.Background(), micro)
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
 			continue
 		}
+		alone[e.ID] = res
 		if res.ID != e.ID {
 			t.Errorf("%s returned result id %q", e.ID, res.ID)
 		}
@@ -474,6 +481,65 @@ func TestEveryExperimentRunsAtMicroScale(t *testing.T) {
 			if v != v { // NaN guard
 				t.Errorf("%s metric %s is NaN", e.ID, k)
 			}
+		}
+	}
+
+	ctx := WithMemo(context.Background())
+	for _, e := range All() {
+		res, err := e.Run(ctx, micro)
+		if err != nil {
+			t.Errorf("%s memoized: %v", e.ID, err)
+			continue
+		}
+		want := alone[e.ID]
+		if want == nil {
+			continue
+		}
+		if res.Text != want.Text {
+			t.Errorf("%s: memoized report differs from the standalone one:\n%s\nwant:\n%s", e.ID, res.Text, want.Text)
+		}
+		if !reflect.DeepEqual(res.Metrics, want.Metrics) {
+			t.Errorf("%s: memoized metrics differ from the standalone ones", e.ID)
+		}
+	}
+	// The distinct configurations across the -run all list.
+	const configs = 46
+	m := ctx.Value(memoKey{}).(*memo)
+	if want := configs * len(micro.Workloads); len(m.sims) != want || m.runs != want {
+		t.Errorf("memo simulated %d jobs under %d keys, want each of %d keys once", m.runs, len(m.sims), want)
+	}
+}
+
+// TestMemoStoresOnlyCompletedRuns: a cancelled run leaves nothing in the
+// memo, so a later call simulates the job; a stored job is not simulated
+// again, and each call gets its own statistics.
+func TestMemoStoresOnlyCompletedRuns(t *testing.T) {
+	opts := tiny()
+	opts.Workloads = opts.Workloads[:2]
+	ctx := WithMemo(context.Background())
+	m := ctx.Value(memoKey{}).(*memo)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, r := range runConfig(cancelled, config.Baseline(), opts) {
+		if r.Err == nil {
+			t.Fatalf("%s: cancelled run succeeded", r.Spec.Name)
+		}
+	}
+	if len(m.sims) != 0 {
+		t.Fatalf("memo stored %d cancelled runs", len(m.sims))
+	}
+	first := runConfig(ctx, config.Baseline(), opts)
+	simulated := m.runs
+	second := runConfig(ctx, config.Baseline(), opts)
+	if m.runs != simulated {
+		t.Errorf("memoized jobs simulated again: %d runs, want %d", m.runs, simulated)
+	}
+	for i := range first {
+		if first[i].Err != nil {
+			t.Fatal(first[i].Err)
+		}
+		if first[i].Stats == second[i].Stats || *first[i].Stats != *second[i].Stats {
+			t.Errorf("%s: want equal statistics in distinct copies", first[i].Spec.Name)
 		}
 	}
 }

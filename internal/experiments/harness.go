@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/runner"
@@ -102,12 +103,14 @@ type Run struct {
 // order, cancelling promptly when ctx does. With Seeds > 1, each workload
 // runs as several seed replicas whose counters are summed — ratios
 // computed from the sums are then replica-weighted averages (see
-// runner.Run).
+// runner.Run). Under a WithMemo context a job simulated before is not
+// simulated again.
 func runConfig(ctx context.Context, cfg config.Core, opts Options) []Run {
 	specs := opts.workloads()
 	runs := make([]Run, len(specs))
+	m, _ := ctx.Value(memoKey{}).(*memo)
 	runner.ForEach(len(specs), opts.parallel(), func(i int) {
-		st, err := runner.Run(ctx, runner.Job{
+		st, err := m.run(ctx, runner.Job{
 			Config:      cfg,
 			Spec:        specs[i],
 			WarmupUops:  opts.WarmupUops,
@@ -117,6 +120,49 @@ func runConfig(ctx context.Context, cfg config.Core, opts Options) []Run {
 		runs[i] = Run{Spec: specs[i], Stats: st, Err: err}
 	})
 	return runs
+}
+
+// memo holds finished jobs' statistics by runner.Job.Key.
+type memo struct {
+	mu   sync.Mutex
+	sims map[string]stats.Sim
+	runs int // jobs simulated under this memo
+}
+
+type memoKey struct{}
+
+// WithMemo returns a context under which the experiments simulate each
+// distinct job once: a configuration that several experiments (or one
+// experiment twice) run on the same workloads and windows is served from
+// the first run's statistics. The memo lives as long as the returned
+// context — cmd/experiments makes one per invocation — and only completed
+// runs are stored, never an errored or cancelled one. Without it every
+// experiment simulates everything it asks for.
+func WithMemo(ctx context.Context) context.Context {
+	return context.WithValue(ctx, memoKey{}, &memo{sims: map[string]stats.Sim{}})
+}
+
+// run executes job through the memo, which may be nil. Every call returns
+// its own copy of the statistics.
+func (m *memo) run(ctx context.Context, job runner.Job) (*stats.Sim, error) {
+	if m == nil {
+		return runner.Run(ctx, job)
+	}
+	key := job.Key()
+	m.mu.Lock()
+	st, ok := m.sims[key]
+	m.mu.Unlock()
+	if ok {
+		return &st, nil
+	}
+	res, err := runner.Run(ctx, job)
+	m.mu.Lock()
+	m.runs++
+	if err == nil {
+		m.sims[key] = *res
+	}
+	m.mu.Unlock()
+	return res, err
 }
 
 // pair matches baseline and feature runs of the same workload.

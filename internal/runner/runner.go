@@ -13,6 +13,9 @@ package runner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -77,6 +80,10 @@ type Job struct {
 	// generator and clones it at every interval. Seed perturbation is
 	// meaningless for a fixed stream, so NewGen requires Seeds <= 1.
 	NewGen func() isa.Generator
+	// TraceDigest is the hex SHA-256 of the trace bytes behind a
+	// trace-sourced job, "" for a catalog workload. It is the workload's
+	// identity in Key: Spec.Name carries only its first 16 characters.
+	TraceDigest string
 	// WarmupUops runs (and discards) this many uops before measuring.
 	WarmupUops uint64
 	// MeasureUops is the measured window length. Run rejects 0: a job
@@ -137,6 +144,37 @@ func (j Job) seeds() int {
 // ceiling and the sweep orchestrator weighs progress/ETA by it.
 func (j Job) TotalUops() uint64 {
 	return (j.WarmupUops + j.MeasureUops) * uint64(j.seeds())
+}
+
+// Key returns the job's content address: the hex SHA-256 over the
+// configuration (its JSON, field by field), the workload identity
+// (catalog name and base seed, or TraceDigest), the windows, the replica
+// count and the cold-caches flag. A sampled job also keys its sampling
+// parameters: a sampled result is an estimator with its own bias, so it
+// never shares a key with the full-window run it approximates. Sampling
+// is hashed as given: key a normalized spec (sample.Normalized) so that
+// spelled-out and omitted defaults share a key. Determinism makes equal
+// keys equal results. The rfpsimd result cache, sweep checkpoints and the experiment
+// memo all key by it; internal/service pins the format, which must not
+// drift.
+func (j Job) Key() string {
+	cfgJSON, err := json.Marshal(j.Config)
+	if err != nil {
+		// config.Core holds only strings, ints and bools.
+		panic(fmt.Sprintf("runner: encoding config %s: %v", j.Config.Name, err))
+	}
+	workload := fmt.Sprintf("workload:%s:seed:%d", j.Spec.Name, j.Spec.Seed)
+	if j.TraceDigest != "" {
+		workload = "trace:" + j.TraceDigest
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "config:%s|%s|warmup:%d|measure:%d|seeds:%d|cold:%t",
+		cfgJSON, workload, j.WarmupUops, j.MeasureUops, j.Seeds, j.ColdCaches)
+	if sp := j.Sampling; sp != nil {
+		fmt.Fprintf(h, "|sampling:interval:%d:maxk:%d:warmup:%d",
+			sp.IntervalUops, sp.MaxK, sp.WarmupUops)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Run executes the job, honouring ctx cancellation between and within

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rfpsim/internal/config"
+	"rfpsim/internal/core"
 	"rfpsim/internal/trace"
 )
 
@@ -212,5 +213,16 @@ func TestTotalUops(t *testing.T) {
 	j.Seeds = -1 // TotalUops stays defined (one replica) even though Run rejects it
 	if got := j.TotalUops(); got != 90000 {
 		t.Errorf("negative-seed TotalUops = %d, want 90000", got)
+	}
+}
+
+// TestRunKeepsWedgeSentinel: a wedged pipeline reaches the caller as
+// core.ErrWedged through runner.Run's stage and replica wrapping.
+func TestRunKeepsWedgeSentinel(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.FrontendLatency = 1 << 20 // nothing reaches rename within the wedge limit
+	_, err := Run(context.Background(), Job{Config: cfg, Spec: mcf(t), WarmupUops: 1000, MeasureUops: 1000, Seeds: 1})
+	if !errors.Is(err, core.ErrWedged) {
+		t.Fatalf("err = %v, want one wrapping core.ErrWedged", err)
 	}
 }

@@ -133,7 +133,7 @@ func TestFamilyMemberFailsAlone(t *testing.T) {
 	}
 
 	res, errs := RunFamily(context.Background(), jobs)
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "wedged") {
+	if !errors.Is(errs[1], core.ErrWedged) {
 		t.Fatalf("wedged member: err = %v, want a pipeline wedge", errs[1])
 	}
 	if res[1].Stats != nil {

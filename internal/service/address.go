@@ -1,10 +1,7 @@
 package service
 
 import (
-	"crypto/sha256"
 	"encoding/base64"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -53,7 +50,6 @@ func resolveRequest(req SimRequest) (*resolvedJob, error) {
 	}
 
 	rj := &resolvedJob{req: req}
-	workloadKey := ""
 	switch {
 	case req.Workload != "" && strings.HasPrefix(req.Workload, TraceWorkloadPrefix):
 		// A reference to a previously uploaded trace (POST /v1/traces).
@@ -67,16 +63,14 @@ func resolveRequest(req SimRequest) (*resolvedJob, error) {
 		if req.Seeds > 1 {
 			return nil, errors.New("seed replication requires a catalog workload, not an uploaded trace")
 		}
-		rj.traceAddr = addr
 		rj.job.Spec = trace.Spec{Name: TraceWorkloadPrefix + addr[:16], Category: "trace-file"}
-		workloadKey = TraceWorkloadPrefix + addr
+		rj.job.TraceDigest = addr
 	case req.Workload != "":
 		spec, ok := trace.ByName(req.Workload)
 		if !ok {
 			return nil, fmt.Errorf("unknown workload %q (GET /v1/workloads lists the suite)", req.Workload)
 		}
 		rj.job.Spec = spec
-		workloadKey = fmt.Sprintf("workload:%s:seed:%d", spec.Name, spec.Seed)
 	default:
 		raw, err := base64.StdEncoding.DecodeString(req.TraceB64)
 		if err != nil {
@@ -87,9 +81,8 @@ func resolveRequest(req SimRequest) (*resolvedJob, error) {
 		}
 		addr := TraceAddress(raw)
 		rj.traceRaw = raw
-		rj.traceAddr = addr
 		rj.job.Spec = trace.Spec{Name: TraceWorkloadPrefix + addr[:16], Category: "trace-file"}
-		workloadKey = TraceWorkloadPrefix + addr
+		rj.job.TraceDigest = addr
 	}
 	rj.job.Config = cfg
 	rj.job.WarmupUops = req.WarmupUops
@@ -107,26 +100,9 @@ func resolveRequest(req SimRequest) (*resolvedJob, error) {
 		}
 	}
 
-	// The cache key addresses the simulation's full input: the resolved
-	// configuration (digested field by field), the workload spec and base
-	// seed (or trace content digest), the windows, the replica count, and
-	// cache warming. A sampled request additionally keys the normalized
-	// sampling parameters — a sampled result is an estimator with its own
-	// bias, so it must never be served from (or poison) the cache entry of
-	// the full-window run it approximates. Determinism makes identical
-	// keys identical results.
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "config:%s|%s|warmup:%d|measure:%d|seeds:%d|cold:%t",
-		cfgJSON, workloadKey, req.WarmupUops, req.MeasureUops, req.Seeds, req.ColdCaches)
-	if sp := req.Sampling; sp != nil {
-		fmt.Fprintf(h, "|sampling:interval:%d:maxk:%d:warmup:%d",
-			sp.IntervalUops, sp.MaxK, sp.WarmupUops)
-	}
-	rj.key = hex.EncodeToString(h.Sum(nil))
+	// The cache key is the job's content address (runner.Job.Key), over
+	// the normalized request.
+	rj.key = rj.job.Key()
 	return rj, nil
 }
 
@@ -167,15 +143,15 @@ func ResolveJobWith(req SimRequest, traces *TraceStore) (runner.Job, string, err
 // loadTrace fills traceRaw for a by-reference trace workload from the
 // store (inline trace_b64 uploads already carry their bytes).
 func (rj *resolvedJob) loadTrace(traces *TraceStore) error {
-	if rj.traceRaw != nil || rj.traceAddr == "" {
+	if rj.traceRaw != nil || rj.job.TraceDigest == "" {
 		return nil
 	}
 	if traces == nil {
-		return fmt.Errorf("unknown trace address %s (no trace store attached)", rj.traceAddr)
+		return fmt.Errorf("unknown trace address %s (no trace store attached)", rj.job.TraceDigest)
 	}
-	raw, _, ok := traces.Get(rj.traceAddr)
+	raw, _, ok := traces.Get(rj.job.TraceDigest)
 	if !ok {
-		return fmt.Errorf("unknown trace address %s (upload the trace via POST /v1/traces first)", rj.traceAddr)
+		return fmt.Errorf("unknown trace address %s (upload the trace via POST /v1/traces first)", rj.job.TraceDigest)
 	}
 	rj.traceRaw = raw
 	return nil
@@ -197,13 +173,11 @@ func attachTraceGen(job *runner.Job, raw []byte) error {
 	return sample.Validate(*job)
 }
 
-// ContentAddress returns the daemon's cache key for a request: the SHA-256
-// over the fully resolved configuration, the workload identity (catalog
-// name and base seed, or the trace digest), the normalized windows, the
-// replica count and the cold-caches flag. It is exported so sweep
-// deduplication and checkpointing key units exactly the way the rfpsimd
-// result cache does — the key format is pinned by a test and must not
-// drift.
+// ContentAddress returns the daemon's cache key for a request: the
+// runner.Job.Key of the job the normalized request resolves to. It is
+// exported so sweep deduplication and checkpointing key units exactly the
+// way the rfpsimd result cache does — the key format is pinned by a test
+// and must not drift.
 func ContentAddress(req SimRequest) (string, error) {
 	rj, err := resolveRequest(req)
 	if err != nil {

@@ -255,11 +255,10 @@ type errorResponse struct {
 
 // resolvedJob is a validated request plus everything needed to execute it.
 type resolvedJob struct {
-	req       SimRequest
-	job       runner.Job
-	traceRaw  []byte // decoded trace upload, nil until loadTrace for by-reference traces
-	traceAddr string // content address of a trace-sourced job, "" for catalog workloads
-	key       string
+	req      SimRequest
+	job      runner.Job
+	traceRaw []byte // decoded trace upload, nil until loadTrace for by-reference traces
+	key      string
 }
 
 type jobResult struct {
