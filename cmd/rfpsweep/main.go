@@ -104,7 +104,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "rfpsweep: mode check_diff runs in-process only (no -endpoints, -checkpoint, -resume or -timings)")
 			os.Exit(2)
 		}
-		runCheckDiff(spec, *outPath, *parallel, *dryRun, *progress > 0, *metrics, *metricsAddr, logger)
+		store := service.NewTraceStore(0, 0, nil)
+		if err := registerTraces(*tracesFlag, nil, store, logger); err != nil {
+			fatal(err)
+		}
+		runCheckDiff(spec, store, *outPath, *parallel, *dryRun, *progress > 0, *metrics, *metricsAddr, logger)
 		return
 	}
 
@@ -187,8 +191,9 @@ func main() {
 // configuration is paired against its diff-mode base and the committed
 // digests compared (see docs/checking.md). Exits 0 only when every
 // pairing is identical and violation-free, so CI can gate on it.
-func runCheckDiff(spec *sweep.Spec, outPath string, parallel int, dryRun, progress, metrics bool, metricsAddr string, logger *slog.Logger) {
-	units, err := spec.ExpandDiff()
+// "trace:<sha256>" workloads resolve from traces (the -traces files).
+func runCheckDiff(spec *sweep.Spec, traces *service.TraceStore, outPath string, parallel int, dryRun, progress, metrics bool, metricsAddr string, logger *slog.Logger) {
+	units, err := spec.ExpandDiff(traces)
 	if err != nil {
 		fatal(err)
 	}

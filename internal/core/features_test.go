@@ -75,6 +75,49 @@ func TestRFPDropOnTLBMissBehavior(t *testing.T) {
 	}
 }
 
+// TestPATResidentMatchesFullAddressTable pins §5.5.4's claim that the
+// Page Address Table costs no timing while every page the loads touch
+// stays resident: with its 64 entries covering the footprint, a PAT run
+// is cycle-identical to the full-address Prefetch Table with identical RFP
+// counters. Past PAT capacity (a 1 MiB wrap, where the stride-64 load
+// alone walks 160 pages in the window) evictions must show, or the pin
+// would hold vacuously.
+func TestPATResidentMatchesFullAddressTable(t *testing.T) {
+	full := config.Baseline().WithRFP()
+	pat := full
+	pat.RFP.UsePAT = true
+	runBoth := func(wrap uint64) (a, b *stats.Sim) {
+		mk := func() *loopGen {
+			return &loopGen{
+				name: "two-strided-loads",
+				body: []isa.MicroOp{
+					ld(0x10, 1, 2, 0x100000),
+					alu(0x14, 2, 2, 1),
+					ld(0x18, 3, 2, 0x800000),
+					br(0x1c, true),
+				},
+				strides: []int64{64, 0, 8, 0},
+				wrap:    wrap,
+			}
+		}
+		return run(t, full, mk(), 40000), run(t, pat, mk(), 40000)
+	}
+	// Up to 64 KiB per region: at most 32 pages, all PAT-resident.
+	for _, wrap := range []uint64{4 << 10, 16 << 10, 64 << 10} {
+		a, b := runBoth(wrap)
+		if a.Cycles != b.Cycles || a.RFP != b.RFP {
+			t.Errorf("wrap %d KiB: PAT run (%d cycles, %+v) differs from full-address run (%d cycles, %+v)",
+				wrap>>10, b.Cycles, b.RFP, a.Cycles, a.RFP)
+		}
+		if a.RFP.Useful == 0 {
+			t.Errorf("wrap %d KiB: RFP never engaged", wrap>>10)
+		}
+	}
+	if a, b := runBoth(1 << 20); a.RFP == b.RFP {
+		t.Errorf("1 MiB wrap: PAT run matches the full-address run (%+v) despite exceeding PAT capacity", a.RFP)
+	}
+}
+
 // TestWarmCachesMakesColdStartWarm compares first-window L1 hit rates with
 // and without footprint warming.
 func TestWarmCachesMakesColdStartWarm(t *testing.T) {

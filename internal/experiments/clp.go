@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"rfpsim/internal/config"
@@ -17,19 +16,13 @@ import (
 // figure reports, over the full workload catalog, the predictor's coverage
 // and per-level accuracy plus the IPC delta of CLP-scheduled RFP against
 // both the plain baseline and flat (level-blind) RFP.
-func runCLP(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	flat := runConfig(ctx, config.Baseline().WithRFP(), opts)
-	clp := runConfig(ctx, config.Baseline().WithCLP(), opts)
+func runCLP(s *suite) *Result {
+	base := s.run(config.Baseline())
+	flat := s.run(config.Baseline().WithRFP())
+	clp := s.run(config.Baseline().WithCLP())
 
-	flatPairs, err := pairRuns(base, flat)
-	if err != nil {
-		return nil, err
-	}
-	clpPairs, err := pairRuns(base, clp)
-	if err != nil {
-		return nil, err
-	}
+	flatPairs := pairRuns(base, flat)
+	clpPairs := pairRuns(base, clp)
 	spFlat, spCLP := geomeanSpeedup(flatPairs), geomeanSpeedup(clpPairs)
 
 	cov := meanOver(clp, (*stats.Sim).CLPCoverage)
@@ -93,5 +86,5 @@ func runCLP(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Extension: cache-level-predicted RFP arming schedule",
 		Text:    txt,
 		Metrics: metrics,
-	}, nil
+	}
 }

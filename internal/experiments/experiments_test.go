@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,29 +75,42 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// runOK runs cfg on a fresh suite and fails the test on a simulation
+// error.
+func runOK(t *testing.T, ctx context.Context, cfg config.Core, opts Options) []Run {
+	t.Helper()
+	su := newSuite(ctx, opts)
+	runs := su.run(cfg)
+	if su.err != nil {
+		t.Fatal(su.err)
+	}
+	return runs
+}
+
 func TestRunConfigProducesStats(t *testing.T) {
-	runs := runConfig(context.Background(), config.Baseline(), tiny())
+	runs := runOK(t, context.Background(), config.Baseline(), tiny())
 	if len(runs) != 6 {
 		t.Fatalf("got %d runs", len(runs))
 	}
 	for _, r := range runs {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Spec.Name, r.Err)
-		}
 		if r.Stats.Instructions == 0 || r.Stats.IPC() <= 0 {
 			t.Errorf("%s: empty stats", r.Spec.Name)
 		}
 	}
 }
 
-func TestPairRunsRejectsMismatch(t *testing.T) {
-	a := runConfig(context.Background(), config.Baseline(), tiny())
-	if _, err := pairRuns(a, a[:2]); err == nil {
-		t.Error("mismatched lengths not rejected")
+// TestPairRunsZipsInOrder: pairs follow the run sets workload by
+// workload, and a run set paired with itself shows no speedup.
+func TestPairRunsZipsInOrder(t *testing.T) {
+	a := runOK(t, context.Background(), config.Baseline(), tiny())
+	pairs := pairRuns(a, a)
+	if len(pairs) != len(a) {
+		t.Fatalf("%d pairs from %d runs", len(pairs), len(a))
 	}
-	pairs, err := pairRuns(a, a)
-	if err != nil || len(pairs) != len(a) {
-		t.Errorf("self-pairing failed: %v", err)
+	for i, p := range pairs {
+		if p.spec.Name != a[i].Spec.Name || p.base != a[i].Stats || p.feat != a[i].Stats {
+			t.Errorf("pair %d is %s, want %s's runs", i, p.spec.Name, a[i].Spec.Name)
+		}
 	}
 	if sp := geomeanSpeedup(pairs); sp != 0 {
 		t.Errorf("self speedup = %v, want 0", sp)
@@ -429,12 +443,9 @@ func TestPrefZooShape(t *testing.T) {
 func TestRunConfigDeterministicUnderParallelism(t *testing.T) {
 	opts := tiny()
 	opts.Parallel = 6
-	a := runConfig(context.Background(), config.Baseline().WithRFP(), opts)
-	b := runConfig(context.Background(), config.Baseline().WithRFP(), opts)
+	a := runOK(t, context.Background(), config.Baseline().WithRFP(), opts)
+	b := runOK(t, context.Background(), config.Baseline().WithRFP(), opts)
 	for i := range a {
-		if a[i].Err != nil || b[i].Err != nil {
-			t.Fatalf("run error: %v %v", a[i].Err, b[i].Err)
-		}
 		if a[i].Stats.Cycles != b[i].Stats.Cycles {
 			t.Errorf("%s: nondeterministic cycles %d vs %d",
 				a[i].Spec.Name, a[i].Stats.Cycles, b[i].Stats.Cycles)
@@ -520,24 +531,21 @@ func TestMemoStoresOnlyCompletedRuns(t *testing.T) {
 	m := ctx.Value(memoKey{}).(*memo)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	for _, r := range runConfig(cancelled, config.Baseline(), opts) {
-		if r.Err == nil {
-			t.Fatalf("%s: cancelled run succeeded", r.Spec.Name)
-		}
+	su := newSuite(cancelled, opts)
+	su.run(config.Baseline())
+	if su.err == nil {
+		t.Fatal("cancelled run succeeded")
 	}
 	if len(m.sims) != 0 {
 		t.Fatalf("memo stored %d cancelled runs", len(m.sims))
 	}
-	first := runConfig(ctx, config.Baseline(), opts)
+	first := runOK(t, ctx, config.Baseline(), opts)
 	simulated := m.runs
-	second := runConfig(ctx, config.Baseline(), opts)
+	second := runOK(t, ctx, config.Baseline(), opts)
 	if m.runs != simulated {
 		t.Errorf("memoized jobs simulated again: %d runs, want %d", m.runs, simulated)
 	}
 	for i := range first {
-		if first[i].Err != nil {
-			t.Fatal(first[i].Err)
-		}
 		if first[i].Stats == second[i].Stats || *first[i].Stats != *second[i].Stats {
 			t.Errorf("%s: want equal statistics in distinct copies", first[i].Spec.Name)
 		}
@@ -551,12 +559,9 @@ func TestSeedReplication(t *testing.T) {
 	opts := tiny()
 	opts.Workloads = opts.Workloads[:2]
 	opts.Seeds = 3
-	a := runConfig(context.Background(), config.Baseline(), opts)
-	b := runConfig(context.Background(), config.Baseline(), opts)
+	a := runOK(t, context.Background(), config.Baseline(), opts)
+	b := runOK(t, context.Background(), config.Baseline(), opts)
 	for i := range a {
-		if a[i].Err != nil {
-			t.Fatal(a[i].Err)
-		}
 		want := 3 * opts.MeasureUops
 		if a[i].Stats.Instructions < want || a[i].Stats.Instructions > want+30 {
 			t.Errorf("%s: %d instructions across 3 replicas, want ~%d",
@@ -568,7 +573,7 @@ func TestSeedReplication(t *testing.T) {
 	}
 	// Replicas are genuinely different dynamic instances.
 	opts.Seeds = 1
-	single := runConfig(context.Background(), config.Baseline(), opts)
+	single := runOK(t, context.Background(), config.Baseline(), opts)
 	if a[0].Stats.Cycles == 3*single[0].Stats.Cycles {
 		t.Log("replica cycles happen to be an exact multiple; acceptable but unusual")
 	}
@@ -582,22 +587,79 @@ func TestResultMetricKeysSorted(t *testing.T) {
 	}
 }
 
-// TestRunConfigCancellation: a cancelled context makes every workload in
-// the sweep report the cancellation with nil stats — no partial seed totals
-// leak into downstream averaging.
+// TestRunConfigCancellation: a cancelled context fails the suite with an
+// error that wraps context.Canceled and names the first workload and the
+// configuration; every run carries zero statistics — no partial seed
+// totals leak into downstream averaging — and later calls simulate
+// nothing and keep the first error.
 func TestRunConfigCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	runs := runConfig(ctx, config.Baseline(), tiny())
-	if len(runs) == 0 {
-		t.Fatal("no runs returned")
+	su := newSuite(ctx, tiny())
+	cfg := config.Baseline()
+	for range 2 {
+		runs := su.run(cfg)
+		if len(runs) != len(tiny().Workloads) {
+			t.Fatalf("got %d runs", len(runs))
+		}
+		for _, r := range runs {
+			if *r.Stats != (stats.Sim{}) {
+				t.Errorf("%s: cancelled run carries stats %+v, want zero", r.Spec.Name, r.Stats)
+			}
+		}
+		cfg = cfg.WithRFP()
 	}
-	for _, r := range runs {
-		if r.Err == nil || !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("%s: err = %v, want wrapped context.Canceled", r.Spec.Name, r.Err)
+	if !errors.Is(su.err, context.Canceled) {
+		t.Errorf("err = %v, want wrapped context.Canceled", su.err)
+	}
+	if msg := fmt.Sprint(su.err); !strings.Contains(msg, "spec06_hmmer on baseline:") {
+		t.Errorf("err = %q, want it to name the first workload and the baseline config", msg)
+	}
+}
+
+// TestFailedSimulationFailsExperiment: every experiment that simulates
+// returns an error and no result — and does not panic on the zero
+// statistics its body sees — when its simulations are cancelled or
+// rejected. A cancelled experiment leaves nothing in the memo.
+func TestFailedSimulationFailsExperiment(t *testing.T) {
+	opts := tiny()
+	opts.Workloads = opts.Workloads[:2]
+	cancelled, cancel := context.WithCancel(WithMemo(context.Background()))
+	cancel()
+	rejected := opts
+	rejected.MeasureUops = 0
+	cases := []struct {
+		name string
+		ctx  context.Context
+		opts Options
+		want error
+	}{
+		{"cancelled", cancelled, opts, context.Canceled},
+		{"rejected", context.Background(), rejected, nil},
+	}
+	simulatesNothing := map[string]bool{"table1": true, "table2": true, "table3": true}
+	for _, c := range cases {
+		for _, e := range All() {
+			t.Run(c.name+"/"+e.ID, func(t *testing.T) {
+				res, err := e.Run(c.ctx, c.opts)
+				switch {
+				case simulatesNothing[e.ID]:
+					if err != nil {
+						t.Errorf("simulates nothing, yet failed: %v", err)
+					}
+				case err == nil:
+					t.Errorf("returned nil error and result %+v", res)
+				case res != nil:
+					t.Errorf("returned a result alongside %v", err)
+				case c.want != nil && !errors.Is(err, c.want):
+					t.Errorf("err = %v, want wrapped %v", err, c.want)
+				case !strings.Contains(err.Error(), opts.Workloads[0].Name+" on "):
+					t.Errorf("err = %v, want it to name the failed workload", err)
+				}
+			})
 		}
-		if r.Stats != nil {
-			t.Errorf("%s: cancelled run carries stats %+v, want nil", r.Spec.Name, r.Stats)
-		}
+	}
+	if m := cancelled.Value(memoKey{}).(*memo); len(m.sims) != 0 {
+		t.Errorf("memo stored %d cancelled runs", len(m.sims))
 	}
 }

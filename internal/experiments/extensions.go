@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"rfpsim/internal/config"
@@ -15,7 +14,7 @@ import (
 // validation re-reads); wrong prefetches add one L1 access each; value and
 // address predictors pay for probe traffic and — dominating — pipeline
 // flushes.
-func runPower(ctx context.Context, opts Options) (*Result, error) {
+func runPower(s *suite) *Result {
 	cost := energy.DefaultCost()
 	schemes := []struct {
 		key string
@@ -30,8 +29,8 @@ func runPower(ctx context.Context, opts Options) (*Result, error) {
 	tb := stats.NewTable("Scheme", "Energy/uop", "vs baseline", "Flush waste", "Prefetch extra")
 	metrics := map[string]float64{}
 	var baseEPU float64
-	for i, s := range schemes {
-		runs := runConfig(ctx, s.cfg, opts)
+	for i, sc := range schemes {
+		runs := s.run(sc.cfg)
 		epu := meanOver(runs, func(st *stats.Sim) float64 { return energy.PerUop(st, cost) })
 		flush := meanOver(runs, func(st *stats.Sim) float64 {
 			if st.Instructions == 0 {
@@ -52,25 +51,25 @@ func runPower(ctx context.Context, opts Options) (*Result, error) {
 		if baseEPU > 0 {
 			rel = epu/baseEPU - 1
 		}
-		tb.AddRow(s.key, fmt.Sprintf("%.3f EU", epu), stats.Pct(rel),
+		tb.AddRow(sc.key, fmt.Sprintf("%.3f EU", epu), stats.Pct(rel),
 			fmt.Sprintf("%.4f", flush), fmt.Sprintf("%.4f", extra))
-		metrics["epu_"+s.key] = epu
-		metrics["flush_"+s.key] = flush
-		metrics["extra_"+s.key] = extra
+		metrics["epu_"+sc.key] = epu
+		metrics["flush_"+sc.key] = flush
+		metrics["extra_"+sc.key] = extra
 	}
 	return &Result{
 		ID:      "power",
 		Title:   "Energy per uop (paper §5.6: RFP adds little; flushes dominate VP/AP overheads)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runBandwidth quantifies the §5.6 L1-bandwidth claim: a correct RFP
 // replaces the demand load's access one-for-one, so total L1 accesses stay
 // nearly flat; wrong prefetches add their re-read; DLVP-style probes are
 // pure extra traffic.
-func runBandwidth(ctx context.Context, opts Options) (*Result, error) {
+func runBandwidth(s *suite) *Result {
 	schemes := []struct {
 		key string
 		cfg config.Core
@@ -82,8 +81,8 @@ func runBandwidth(ctx context.Context, opts Options) (*Result, error) {
 	tb := stats.NewTable("Scheme", "L1 accesses / uop", "vs baseline")
 	metrics := map[string]float64{}
 	var base float64
-	for i, s := range schemes {
-		runs := runConfig(ctx, s.cfg, opts)
+	for i, sc := range schemes {
+		runs := s.run(sc.cfg)
 		apu := meanOver(runs, func(st *stats.Sim) float64 {
 			if st.Instructions == 0 {
 				return 0
@@ -97,45 +96,36 @@ func runBandwidth(ctx context.Context, opts Options) (*Result, error) {
 		if base > 0 {
 			rel = apu/base - 1
 		}
-		tb.AddRow(s.key, fmt.Sprintf("%.3f", apu), stats.Pct(rel))
-		metrics["l1apu_"+s.key] = apu
+		tb.AddRow(sc.key, fmt.Sprintf("%.3f", apu), stats.Pct(rel))
+		metrics["l1apu_"+sc.key] = apu
 	}
 	return &Result{
 		ID:      "bandwidth",
 		Title:   "L1 access traffic (paper §5.6: correct RFP needs no validation re-read)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runHWPrefetch answers the implicit compositionality question: does RFP
 // still pay off when the baseline already has a hardware stream cache
 // prefetcher? It should — cache prefetchers convert misses into L1 hits,
 // which *grows* the population RFP can accelerate (L1 latency remains).
-func runHWPrefetch(ctx context.Context, opts Options) (*Result, error) {
+func runHWPrefetch(s *suite) *Result {
 	plain := config.Baseline()
 	hw := config.Baseline()
 	hw.Name = "baseline+hwpf"
 	hw.Mem.HWPrefetch = true
 	hwRFP := hw.WithRFP()
 
-	base := runConfig(ctx, plain, opts)
-	hwRuns := runConfig(ctx, hw, opts)
-	hwRFPRuns := runConfig(ctx, hwRFP, opts)
-	rfpRuns := runConfig(ctx, config.Baseline().WithRFP(), opts)
+	base := s.run(plain)
+	hwRuns := s.run(hw)
+	hwRFPRuns := s.run(hwRFP)
+	rfpRuns := s.run(config.Baseline().WithRFP())
 
-	hwPairs, err := pairRuns(base, hwRuns)
-	if err != nil {
-		return nil, err
-	}
-	hwRFPPairs, err := pairRuns(hwRuns, hwRFPRuns)
-	if err != nil {
-		return nil, err
-	}
-	rfpPairs, err := pairRuns(base, rfpRuns)
-	if err != nil {
-		return nil, err
-	}
+	hwPairs := pairRuns(base, hwRuns)
+	hwRFPPairs := pairRuns(hwRuns, hwRFPRuns)
+	rfpPairs := pairRuns(base, rfpRuns)
 	spHW := geomeanSpeedup(hwPairs)
 	spRFPOnHW := geomeanSpeedup(hwRFPPairs)
 	spRFP := geomeanSpeedup(rfpPairs)
@@ -151,13 +141,13 @@ func runHWPrefetch(ctx context.Context, opts Options) (*Result, error) {
 		Metrics: map[string]float64{
 			"speedup_hw": spHW, "speedup_rfp_on_hw": spRFPOnHW, "speedup_rfp": spRFP,
 		},
-	}, nil
+	}
 }
 
 // runCycleAccounting is the top-down view of where RFP's gain comes from:
 // commit slots blocked behind unfinished loads (the L1-latency wall) shrink
 // and convert into retired slots, while exec/frontend stalls stay put.
-func runCycleAccounting(ctx context.Context, opts Options) (*Result, error) {
+func runCycleAccounting(s *suite) *Result {
 	tb := stats.NewTable("Config", "Retired", "Load-stall", "Exec-stall", "Frontend")
 	metrics := map[string]float64{}
 	for _, withRFP := range []bool{false, true} {
@@ -167,21 +157,16 @@ func runCycleAccounting(ctx context.Context, opts Options) (*Result, error) {
 			cfg = cfg.WithRFP()
 			key = "rfp"
 		}
-		runs := runConfig(ctx, cfg, opts)
+		runs := s.run(cfg)
 		var retired, load, exec, empty float64
-		nOK := 0
 		for _, r := range runs {
-			if r.Err != nil {
-				return nil, r.Err
-			}
 			a, b, c, d := r.Stats.Slots.Frac()
 			retired += a
 			load += b
 			exec += c
 			empty += d
-			nOK++
 		}
-		n := float64(nOK)
+		n := float64(len(runs))
 		tb.AddRow(key, stats.Pct(retired/n), stats.Pct(load/n), stats.Pct(exec/n), stats.Pct(empty/n))
 		metrics["retired_"+key] = retired / n
 		metrics["loadstall_"+key] = load / n
@@ -193,14 +178,14 @@ func runCycleAccounting(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Top-down commit-slot accounting: RFP converts load stalls into retirement",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runLateAlloc exercises the §3.3 "Pipeline Variations" register file:
 // physical registers claimed at writeback through virtual pointers. RFP
 // must keep (approximately) its gain under the variation — the paper's
 // point that RFP adapts to either register file design.
-func runLateAlloc(ctx context.Context, opts Options) (*Result, error) {
+func runLateAlloc(s *suite) *Result {
 	tb := stats.NewTable("Register file", "RFP speedup")
 	metrics := map[string]float64{}
 	for _, late := range []bool{false, true} {
@@ -212,12 +197,9 @@ func runLateAlloc(ctx context.Context, opts Options) (*Result, error) {
 			base.Name = "baseline-late"
 		}
 		feat := base.WithRFP()
-		baseRuns := runConfig(ctx, base, opts)
-		featRuns := runConfig(ctx, feat, opts)
-		pairs, err := pairRuns(baseRuns, featRuns)
-		if err != nil {
-			return nil, err
-		}
+		baseRuns := s.run(base)
+		featRuns := s.run(feat)
+		pairs := pairRuns(baseRuns, featRuns)
 		sp := geomeanSpeedup(pairs)
 		tb.AddRow(key, stats.Pct(sp))
 		if late {
@@ -231,7 +213,7 @@ func runLateAlloc(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "§3.3 pipeline variation: RFP with late (writeback-time) register allocation",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runBPQuality crosses branch predictor quality with RFP. On this suite
@@ -240,7 +222,7 @@ func runLateAlloc(ctx context.Context, opts Options) (*Result, error) {
 // demonstrates that RFP's gain is robust to the branch predictor choice;
 // on pattern-heavy workloads (see the TAGE unit tests) the predictors
 // separate and RFP's share of the critical path shifts accordingly.
-func runBPQuality(ctx context.Context, opts Options) (*Result, error) {
+func runBPQuality(s *suite) *Result {
 	tb := stats.NewTable("Branch predictor", "RFP speedup", "Baseline mispredicts/kuop")
 	metrics := map[string]float64{}
 	for _, bp := range []string{"tage", "gshare"} {
@@ -248,12 +230,9 @@ func runBPQuality(ctx context.Context, opts Options) (*Result, error) {
 		base.BranchPredictor = bp
 		base.Name = "baseline-" + bp
 		feat := base.WithRFP()
-		baseRuns := runConfig(ctx, base, opts)
-		featRuns := runConfig(ctx, feat, opts)
-		pairs, err := pairRuns(baseRuns, featRuns)
-		if err != nil {
-			return nil, err
-		}
+		baseRuns := s.run(base)
+		featRuns := s.run(feat)
+		pairs := pairRuns(baseRuns, featRuns)
 		sp := geomeanSpeedup(pairs)
 		mpki := meanOver(baseRuns, func(st *stats.Sim) float64 {
 			if st.Instructions == 0 {
@@ -270,7 +249,7 @@ func runBPQuality(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Branch predictor quality vs RFP gain (TAGE vs gshare baseline)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runCritical evaluates the criticality-targeted RFP extension the paper
@@ -278,22 +257,16 @@ func runBPQuality(ctx context.Context, opts Options) (*Result, error) {
 // only for loads the commit-stall estimator flags as critical. Expected
 // shape: a fraction of the prefetch traffic retains most of the speedup,
 // because "not all prefetches have a high impact on performance".
-func runCritical(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	full := runConfig(ctx, config.Baseline().WithRFP(), opts)
+func runCritical(s *suite) *Result {
+	base := s.run(config.Baseline())
+	full := s.run(config.Baseline().WithRFP())
 	critCfg := config.Baseline().WithRFP()
 	critCfg.RFP.CriticalOnly = true
 	critCfg.Name = "baseline+rfp-critical"
-	crit := runConfig(ctx, critCfg, opts)
+	crit := s.run(critCfg)
 
-	fullPairs, err := pairRuns(base, full)
-	if err != nil {
-		return nil, err
-	}
-	critPairs, err := pairRuns(base, crit)
-	if err != nil {
-		return nil, err
-	}
+	fullPairs := pairRuns(base, full)
+	critPairs := pairRuns(base, crit)
 	spFull, spCrit := geomeanSpeedup(fullPairs), geomeanSpeedup(critPairs)
 	injFull := meanOver(full, (*stats.Sim).RFPInjectedFrac)
 	injCrit := meanOver(crit, (*stats.Sim).RFPInjectedFrac)
@@ -321,5 +294,5 @@ func runCritical(ctx context.Context, opts Options) (*Result, error) {
 			"speedup_full": spFull, "speedup_critical": spCrit,
 			"injected_full": injFull, "injected_critical": injCrit,
 		},
-	}, nil
+	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,8 +14,8 @@ import (
 // prefetcher between each pair of adjacent hierarchy levels. The paper's
 // shape: L1→RF (~9%) and Mem→LLC (~13%) dominate the middle levels despite
 // L1 latency being 40x lower than DRAM's.
-func runFig1(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
+func runFig1(s *suite) *Result {
+	base := s.run(config.Baseline())
 	oracles := []struct {
 		name string
 		mode config.OracleMode
@@ -29,11 +28,8 @@ func runFig1(ctx context.Context, opts Options) (*Result, error) {
 	tb := stats.NewTable("Oracle", "Geomean speedup")
 	metrics := map[string]float64{}
 	for _, o := range oracles {
-		runs := runConfig(ctx, config.Baseline().WithOracle(o.mode), opts)
-		pairs, err := pairRuns(base, runs)
-		if err != nil {
-			return nil, err
-		}
+		runs := s.run(config.Baseline().WithOracle(o.mode))
+		pairs := pairRuns(base, runs)
 		sp := geomeanSpeedup(pairs)
 		tb.AddRow(o.name, stats.Pct(sp))
 		metrics["speedup_"+o.name] = sp
@@ -43,13 +39,13 @@ func runFig1(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Oracle prefetch headroom (paper: L1->RF 9%, Mem->LLC 13.3%, middle levels smaller)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runFig2 reproduces Figure 2: where demand loads are served. Paper: 92.8%
 // L1, with small MSHR/L2/LLC/DRAM slices.
-func runFig2(ctx context.Context, opts Options) (*Result, error) {
-	runs := runConfig(ctx, config.Baseline(), opts)
+func runFig2(s *suite) *Result {
+	runs := s.run(config.Baseline())
 	tb := stats.NewTable("Level", "Fraction of loads")
 	metrics := map[string]float64{}
 	for l := 0; l < stats.NumLevels; l++ {
@@ -62,19 +58,16 @@ func runFig2(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Demand load distribution (paper: 92.8% L1 hits)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runFig10 reproduces Figure 10: RFP speedup and coverage per workload
 // category on the baseline core. Paper: 3.1% geomean speedup, 43.4%
 // coverage.
-func runFig10(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	feat := runConfig(ctx, config.Baseline().WithRFP(), opts)
-	pairs, err := pairRuns(base, feat)
-	if err != nil {
-		return nil, err
-	}
+func runFig10(s *suite) *Result {
+	base := s.run(config.Baseline())
+	feat := s.run(config.Baseline().WithRFP())
+	pairs := pairRuns(base, feat)
 	tb := stats.NewTable("Category", "Speedup", "Coverage")
 	cats, grouped := byCategory(pairs)
 	for _, cat := range cats {
@@ -97,18 +90,15 @@ func runFig10(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "RFP on baseline (paper: +3.1% geomean, 43.4% coverage)",
 		Text:    tb.String(),
 		Metrics: map[string]float64{"speedup": sp, "coverage": cov},
-	}, nil
+	}
 }
 
 // runFig11 reproduces Figure 11: per-workload IPC gain and coverage,
 // sorted by gain — the paper's correlation line chart as rows.
-func runFig11(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	feat := runConfig(ctx, config.Baseline().WithRFP(), opts)
-	pairs, err := pairRuns(base, feat)
-	if err != nil {
-		return nil, err
-	}
+func runFig11(s *suite) *Result {
+	base := s.run(config.Baseline())
+	feat := s.run(config.Baseline().WithRFP())
+	pairs := pairRuns(base, feat)
 	sort.Slice(pairs, func(i, j int) bool {
 		return stats.Speedup(pairs[i].base, pairs[i].feat) < stats.Speedup(pairs[j].base, pairs[j].feat)
 	})
@@ -130,7 +120,7 @@ func runFig11(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Per-workload IPC gain vs coverage (paper: correlated, with criticality outliers)",
 		Text:    txt,
 		Metrics: map[string]float64{"rank_correlation": corr, "frac_improved": float64(nPos) / float64(len(pairs))},
-	}, nil
+	}
 }
 
 // rankCorrelation computes Spearman's rho between speedup and coverage.
@@ -172,13 +162,10 @@ func ranks(xs []float64) []float64 {
 // +5.7% and 53.7% coverage — more than on the baseline, because doubled
 // execution resources expose more latency sensitivity and more L1
 // bandwidth lets more prefetches dispatch.
-func runFig12(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline2x(), opts)
-	feat := runConfig(ctx, config.Baseline2x().WithRFP(), opts)
-	pairs, err := pairRuns(base, feat)
-	if err != nil {
-		return nil, err
-	}
+func runFig12(s *suite) *Result {
+	base := s.run(config.Baseline2x())
+	feat := s.run(config.Baseline2x().WithRFP())
+	pairs := pairRuns(base, feat)
 	covs := make([]float64, len(pairs))
 	for i, p := range pairs {
 		covs[i] = p.feat.RFPCoverage()
@@ -191,14 +178,14 @@ func runFig12(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "RFP on Baseline-2x (paper: +5.7%, 53.7% coverage)",
 		Text:    tb.String(),
 		Metrics: map[string]float64{"speedup": sp, "coverage": cov},
-	}, nil
+	}
 }
 
 // runFig13 reproduces Figure 13: the prefetch life-cycle funnel. Paper:
 // packets injected for 72% of loads, executed for 48%, useful for 43%;
 // ~5% wrong.
-func runFig13(ctx context.Context, opts Options) (*Result, error) {
-	runs := runConfig(ctx, config.Baseline().WithRFP(), opts)
+func runFig13(s *suite) *Result {
+	runs := s.run(config.Baseline().WithRFP())
 	type row struct {
 		name                              string
 		injected, executed, useful, wrong float64
@@ -206,9 +193,6 @@ func runFig13(ctx context.Context, opts Options) (*Result, error) {
 	var rows []row
 	cats := map[trace.Category][]Run{}
 	for _, r := range runs {
-		if r.Err != nil {
-			return nil, r.Err
-		}
 		cats[r.Spec.Category] = append(cats[r.Spec.Category], r)
 	}
 	add := func(name string, rs []Run) row {
@@ -239,27 +223,21 @@ func runFig13(ctx context.Context, opts Options) (*Result, error) {
 			"injected": all.injected, "executed": all.executed,
 			"useful": all.useful, "wrong": all.wrong,
 		},
-	}, nil
+	}
 }
 
 // runFig14 reproduces Figure 14: doubling L1 ports with half dedicated to
 // RFP. Paper: +4.0% vs +3.1% shared, with 16.1% more prefetches executed.
-func runFig14(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	shared := runConfig(ctx, config.Baseline().WithRFP(), opts)
+func runFig14(s *suite) *Result {
+	base := s.run(config.Baseline())
+	shared := s.run(config.Baseline().WithRFP())
 	dedCfg := config.Baseline().WithRFP()
 	dedCfg.Name = "baseline+rfp-dedicated"
 	dedCfg.RFPDedicatedPorts = dedCfg.LoadPorts
-	ded := runConfig(ctx, dedCfg, opts)
+	ded := s.run(dedCfg)
 
-	sharedPairs, err := pairRuns(base, shared)
-	if err != nil {
-		return nil, err
-	}
-	dedPairs, err := pairRuns(base, ded)
-	if err != nil {
-		return nil, err
-	}
+	sharedPairs := pairRuns(base, shared)
+	dedPairs := pairRuns(base, ded)
 	spShared, spDed := geomeanSpeedup(sharedPairs), geomeanSpeedup(dedPairs)
 	exShared := meanOver(shared, (*stats.Sim).RFPExecutedFrac)
 	exDed := meanOver(ded, (*stats.Sim).RFPExecutedFrac)
@@ -274,15 +252,15 @@ func runFig14(ctx context.Context, opts Options) (*Result, error) {
 			"speedup_shared": spShared, "speedup_dedicated": spDed,
 			"executed_shared": exShared, "executed_dedicated": exDed,
 		},
-	}, nil
+	}
 }
 
 // runEffectiveness reproduces §5.2.2: of the useful prefetches, how many
 // completed before the load even dispatched (fully hidden latency; the
 // load behaves like a 1-cycle op) vs completed late (partial saving).
 // Paper: 34.2% of loads fully hidden, 9.2% partially.
-func runEffectiveness(ctx context.Context, opts Options) (*Result, error) {
-	runs := runConfig(ctx, config.Baseline().WithRFP(), opts)
+func runEffectiveness(s *suite) *Result {
+	runs := s.run(config.Baseline().WithRFP())
 	full := meanOver(runs, func(s *stats.Sim) float64 {
 		if s.Loads == 0 {
 			return 0
@@ -299,11 +277,11 @@ func runEffectiveness(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "RFP effectiveness (paper: 34.2% fully hidden, 9.2% partial)",
 		Text:    tb.String(),
 		Metrics: map[string]float64{"fully_hidden": full, "partial": partial},
-	}, nil
+	}
 }
 
 // runTable2 prints the core parameters (Table 2 analogue).
-func runTable2(context.Context, Options) (*Result, error) {
+func runTable2(*suite) *Result {
 	b, x := config.Baseline(), config.Baseline2x()
 	tb := stats.NewTable("Parameter", "Baseline", "Baseline-2x")
 	rows := []struct {
@@ -325,11 +303,11 @@ func runTable2(context.Context, Options) (*Result, error) {
 	for _, r := range rows {
 		tb.AddRow(r.name, fmt.Sprint(r.b), fmt.Sprint(r.x))
 	}
-	return &Result{ID: "table2", Title: "Core parameters", Text: tb.String(), Metrics: map[string]float64{}}, nil
+	return &Result{ID: "table2", Title: "Core parameters", Text: tb.String(), Metrics: map[string]float64{}}
 }
 
 // runTable3 prints the workload suite (Table 3 analogue).
-func runTable3(context.Context, Options) (*Result, error) {
+func runTable3(*suite) *Result {
 	tb := stats.NewTable("Category", "Workloads")
 	total := 0
 	for _, c := range trace.Categories() {
@@ -344,5 +322,5 @@ func runTable3(context.Context, Options) (*Result, error) {
 		ID: "table3", Title: "Workload suite",
 		Text:    tb.String(),
 		Metrics: map[string]float64{"total": float64(total)},
-	}, nil
+	}
 }

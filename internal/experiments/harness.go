@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/runner"
@@ -90,35 +91,81 @@ func (o Options) seeds() int {
 type Run struct {
 	// Spec names the workload.
 	Spec trace.Spec
-	// Stats is the measured-window statistics block; nil when Err is set
-	// (an errored or cancelled workload contributes nothing, never a
-	// partial seed total).
+	// Stats is the measured-window statistics block; all zero once the
+	// suite has failed, so a failed workload's partial totals never reach
+	// a result.
 	Stats *stats.Sim
-	// Err reports a wedged pipeline (a model bug; tests fail on it) or a
-	// cancelled run.
-	Err error
 }
 
-// runConfig simulates every workload on cfg, in parallel, in catalog
-// order, cancelling promptly when ctx does. With Seeds > 1, each workload
-// runs as several seed replicas whose counters are summed — ratios
-// computed from the sums are then replica-weighted averages (see
-// runner.Run). Under a WithMemo context a job simulated before is not
-// simulated again.
-func runConfig(ctx context.Context, cfg config.Core, opts Options) []Run {
-	specs := opts.workloads()
-	runs := make([]Run, len(specs))
+// suite is the harness one experiment call runs on: the context and
+// options it was called with, the memo the context carries, and the
+// call's first simulation error. The error is sticky: the Experiment.Run
+// wrapper returns it in place of the experiment's result, so experiment
+// bodies ask for runs and never check an error themselves.
+type suite struct {
+	ctx  context.Context
+	opts Options
+	memo *memo
+	err  error
+}
+
+// newSuite starts one experiment call's suite, on the memo ctx carries
+// (if any).
+func newSuite(ctx context.Context, opts Options) *suite {
 	m, _ := ctx.Value(memoKey{}).(*memo)
-	runner.ForEach(len(specs), opts.parallel(), func(i int) {
-		st, err := m.run(ctx, runner.Job{
+	return &suite{ctx: ctx, opts: opts, memo: m}
+}
+
+// run simulates every workload on cfg, in parallel, and returns the runs
+// in catalog order, cancelling promptly when the context does. With
+// Seeds > 1, each workload runs as several seed replicas whose counters
+// are summed — ratios computed from the sums are then replica-weighted
+// averages (see runner.Run). Under a WithMemo context a job simulated
+// before is not simulated again.
+//
+// A failed simulation (a cancelled context, a wedged pipeline, a job the
+// runner rejects) fails the suite: its error names the first failed
+// workload in catalog order and cfg. From then on run simulates nothing
+// and returns zero statistics for every workload, which a body turns into
+// a throwaway result without checks and without panicking.
+func (s *suite) run(cfg config.Core) []Run {
+	specs := s.opts.workloads()
+	runs := make([]Run, len(specs))
+	for i, spec := range specs {
+		runs[i] = Run{Spec: spec, Stats: &stats.Sim{}}
+	}
+	if s.err != nil {
+		return runs
+	}
+	sims := make([]*stats.Sim, len(specs))
+	errs := make([]error, len(specs))
+	var failed atomic.Bool
+	runner.ForEach(len(specs), s.opts.parallel(), func(i int) {
+		// Indices dispatch in increasing order, so a workload skipped here
+		// comes after one that already failed.
+		if failed.Load() {
+			return
+		}
+		sims[i], errs[i] = s.memo.run(s.ctx, runner.Job{
 			Config:      cfg,
 			Spec:        specs[i],
-			WarmupUops:  opts.WarmupUops,
-			MeasureUops: opts.MeasureUops,
-			Seeds:       opts.seeds(),
+			WarmupUops:  s.opts.WarmupUops,
+			MeasureUops: s.opts.MeasureUops,
+			Seeds:       s.opts.seeds(),
 		})
-		runs[i] = Run{Spec: specs[i], Stats: st, Err: err}
+		if errs[i] != nil {
+			failed.Store(true)
+		}
 	})
+	for i, err := range errs {
+		if err != nil {
+			s.err = fmt.Errorf("experiments: %s on %s: %w", specs[i].Name, cfg.Name, err)
+			return runs
+		}
+	}
+	for i := range runs {
+		runs[i].Stats = sims[i]
+	}
 	return runs
 }
 
@@ -172,22 +219,13 @@ type pair struct {
 	feat *stats.Sim
 }
 
-// pairRuns zips two run sets, skipping errored entries.
-func pairRuns(base, feat []Run) ([]pair, error) {
-	if len(base) != len(feat) {
-		return nil, fmt.Errorf("experiments: mismatched run sets (%d vs %d)", len(base), len(feat))
-	}
-	pairs := make([]pair, 0, len(base))
+// pairRuns zips two run sets of one suite, workload by workload.
+func pairRuns(base, feat []Run) []pair {
+	pairs := make([]pair, len(base))
 	for i := range base {
-		if base[i].Err != nil {
-			return nil, fmt.Errorf("experiments: %s baseline: %w", base[i].Spec.Name, base[i].Err)
-		}
-		if feat[i].Err != nil {
-			return nil, fmt.Errorf("experiments: %s feature: %w", feat[i].Spec.Name, feat[i].Err)
-		}
-		pairs = append(pairs, pair{spec: base[i].Spec, base: base[i].Stats, feat: feat[i].Stats})
+		pairs[i] = pair{spec: base[i].Spec, base: base[i].Stats, feat: feat[i].Stats}
 	}
-	return pairs, nil
+	return pairs
 }
 
 // geomeanSpeedup aggregates a pair set.
@@ -216,11 +254,9 @@ func byCategory(pairs []pair) ([]trace.Category, map[trace.Category][]pair) {
 
 // meanOver averages a per-run metric.
 func meanOver(runs []Run, f func(*stats.Sim) float64) float64 {
-	vals := make([]float64, 0, len(runs))
-	for _, r := range runs {
-		if r.Err == nil {
-			vals = append(vals, f(r.Stats))
-		}
+	vals := make([]float64, len(runs))
+	for i, r := range runs {
+		vals[i] = f(r.Stats)
 	}
 	return stats.Mean(vals)
 }
@@ -248,43 +284,59 @@ type Experiment struct {
 	// Title describes the artifact.
 	Title string
 	// Run executes the experiment; cancelling the context aborts the
-	// underlying simulations promptly.
+	// underlying simulations promptly. Any failed or cancelled simulation
+	// fails the whole experiment: Run returns a nil Result and an error
+	// naming the workload and configuration.
 	Run func(context.Context, Options) (*Result, error)
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"table2", "Table 2: core parameters", runTable2},
-		{"table3", "Table 3: workload suite", runTable3},
-		{"fig1", "Figure 1: oracle prefetch headroom per hierarchy level", runFig1},
-		{"fig2", "Figure 2: demand load distribution across the hierarchy", runFig2},
-		{"fig10", "Figure 10: RFP speedup and coverage per category", runFig10},
-		{"fig11", "Figure 11: per-workload IPC gain vs coverage", runFig11},
-		{"fig12", "Figure 12: RFP on the up-scaled Baseline-2x core", runFig12},
-		{"fig13", "Figure 13: RFP timeliness (injected/executed/useful)", runFig13},
-		{"fig14", "Figure 14: dedicated RFP L1 ports", runFig14},
-		{"effectiveness", "Section 5.2.2: fully vs partially hidden loads", runEffectiveness},
-		{"fig15", "Figure 15: RFP vs value prediction (EVES/Composite/EPP) and VP+RFP", runFig15},
-		{"fig16", "Figure 16: DLVP coverage under its four constraints", runFig16},
-		{"fig17", "Figure 17: confidence counter width sensitivity", runFig17},
-		{"fig18", "Figure 18: Prefetch Table size sensitivity", runFig18},
-		{"l1lat", "Section 5.5.2: L1 latency sensitivity (5 vs 6 cycles)", runL1Latency},
-		{"context", "Section 5.5.3: context prefetcher on top of stride", runContext},
-		{"pat", "Section 5.5.4: Page Address Table area optimization", runPAT},
-		{"simplifications", "Section 5.5.5: pipeline simplifications", runSimplifications},
-		{"table1", "Table 1: RFP storage requirements", runTable1},
-		{"power", "Section 5.6 (quantified): energy per uop by scheme", runPower},
-		{"bandwidth", "Section 5.6 (quantified): L1 access traffic by scheme", runBandwidth},
-		{"critical", "Extension: criticality-targeted RFP (paper future work)", runCritical},
-		{"hwprefetch", "Extension: RFP composed with a hardware cache prefetcher", runHWPrefetch},
-		{"prefzoo", "Extension: L1 prefetcher zoo under RFP (stream/SPP/SISB/managed)", runPrefZoo},
-		{"bpquality", "Extension: branch predictor quality vs RFP gain", runBPQuality},
-		{"latealloc", "Section 3.3 variation: late register allocation", runLateAlloc},
-		{"cycleacct", "Top-down commit-slot accounting (where RFP's gain comes from)", runCycleAccounting},
-		{"clp", "Extension: cache-level-predicted RFP arming schedule", runCLP},
-		{"suite", "Suite calibration: per-workload IPC, load levels, RFP coverage and gain", runSuite},
+		experiment("table2", "Table 2: core parameters", runTable2),
+		experiment("table3", "Table 3: workload suite", runTable3),
+		experiment("fig1", "Figure 1: oracle prefetch headroom per hierarchy level", runFig1),
+		experiment("fig2", "Figure 2: demand load distribution across the hierarchy", runFig2),
+		experiment("fig10", "Figure 10: RFP speedup and coverage per category", runFig10),
+		experiment("fig11", "Figure 11: per-workload IPC gain vs coverage", runFig11),
+		experiment("fig12", "Figure 12: RFP on the up-scaled Baseline-2x core", runFig12),
+		experiment("fig13", "Figure 13: RFP timeliness (injected/executed/useful)", runFig13),
+		experiment("fig14", "Figure 14: dedicated RFP L1 ports", runFig14),
+		experiment("effectiveness", "Section 5.2.2: fully vs partially hidden loads", runEffectiveness),
+		experiment("fig15", "Figure 15: RFP vs value prediction (EVES/Composite/EPP) and VP+RFP", runFig15),
+		experiment("fig16", "Figure 16: DLVP coverage under its four constraints", runFig16),
+		experiment("fig17", "Figure 17: confidence counter width sensitivity", runFig17),
+		experiment("fig18", "Figure 18: Prefetch Table size sensitivity", runFig18),
+		experiment("l1lat", "Section 5.5.2: L1 latency sensitivity (5 vs 6 cycles)", runL1Latency),
+		experiment("context", "Section 5.5.3: context prefetcher on top of stride", runContext),
+		experiment("pat", "Section 5.5.4: Page Address Table area optimization", runPAT),
+		experiment("simplifications", "Section 5.5.5: pipeline simplifications", runSimplifications),
+		experiment("table1", "Table 1: RFP storage requirements", runTable1),
+		experiment("power", "Section 5.6 (quantified): energy per uop by scheme", runPower),
+		experiment("bandwidth", "Section 5.6 (quantified): L1 access traffic by scheme", runBandwidth),
+		experiment("critical", "Extension: criticality-targeted RFP (paper future work)", runCritical),
+		experiment("hwprefetch", "Extension: RFP composed with a hardware cache prefetcher", runHWPrefetch),
+		experiment("prefzoo", "Extension: L1 prefetcher zoo under RFP (stream/SPP/SISB/managed)", runPrefZoo),
+		experiment("bpquality", "Extension: branch predictor quality vs RFP gain", runBPQuality),
+		experiment("latealloc", "Section 3.3 variation: late register allocation", runLateAlloc),
+		experiment("cycleacct", "Top-down commit-slot accounting (where RFP's gain comes from)", runCycleAccounting),
+		experiment("clp", "Extension: cache-level-predicted RFP arming schedule", runCLP),
+		experiment("suite", "Suite calibration: per-workload IPC, load levels, RFP coverage and gain", runSuite),
 	}
+}
+
+// experiment wraps a body in the exported Run signature: each call gets
+// its own suite, and a suite that failed returns its error, never the
+// body's result.
+func experiment(id, title string, body func(*suite) *Result) Experiment {
+	return Experiment{ID: id, Title: title, Run: func(ctx context.Context, opts Options) (*Result, error) {
+		s := newSuite(ctx, opts)
+		res := body(s)
+		if s.err != nil {
+			return nil, s.err
+		}
+		return res, nil
+	}}
 }
 
 // ByID finds an experiment.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"rfpsim/internal/config"
@@ -17,7 +16,7 @@ import (
 // what its shadow scoring selects for. managed_wins_frac counts the
 // workloads where managed IPC is at least the best static scheme's IPC
 // (ties count: picking the same scheme is a win for the policy).
-func runPrefZoo(ctx context.Context, opts Options) (*Result, error) {
+func runPrefZoo(s *suite) *Result {
 	schemes := []struct {
 		key string
 		cfg config.Core
@@ -29,16 +28,13 @@ func runPrefZoo(ctx context.Context, opts Options) (*Result, error) {
 		{"managed", config.Baseline().WithRFP().WithPrefetcher("managed")},
 	}
 
-	base := runConfig(ctx, config.Baseline(), opts)
+	base := s.run(config.Baseline())
 	tb := stats.NewTable("Prefetcher", "Speedup", "L1PF coverage", "L1PF accuracy", "Issued/kuop")
 	metrics := map[string]float64{}
 	ipcs := map[string][]float64{}
-	for _, s := range schemes {
-		runs := runConfig(ctx, s.cfg, opts)
-		pairs, err := pairRuns(base, runs)
-		if err != nil {
-			return nil, err
-		}
+	for _, sc := range schemes {
+		runs := s.run(sc.cfg)
+		pairs := pairRuns(base, runs)
 		sp := geomeanSpeedup(pairs)
 		cov := meanOver(runs, (*stats.Sim).L1PFCoverage)
 		acc := meanOver(runs, (*stats.Sim).L1PFAccuracy)
@@ -49,13 +45,13 @@ func runPrefZoo(ctx context.Context, opts Options) (*Result, error) {
 			return 1000 * float64(st.L1PF.Issued) / float64(st.Instructions)
 		})
 		for _, r := range runs {
-			ipcs[s.key] = append(ipcs[s.key], r.Stats.IPC())
+			ipcs[sc.key] = append(ipcs[sc.key], r.Stats.IPC())
 		}
-		tb.AddRow(s.key, stats.Pct(sp), stats.Pct(cov), stats.Pct(acc), fmt.Sprintf("%.1f", ipk))
-		metrics["speedup_"+s.key] = sp
-		metrics["coverage_"+s.key] = cov
-		metrics["accuracy_"+s.key] = acc
-		metrics["issued_kuop_"+s.key] = ipk
+		tb.AddRow(sc.key, stats.Pct(sp), stats.Pct(cov), stats.Pct(acc), fmt.Sprintf("%.1f", ipk))
+		metrics["speedup_"+sc.key] = sp
+		metrics["coverage_"+sc.key] = cov
+		metrics["accuracy_"+sc.key] = acc
+		metrics["issued_kuop_"+sc.key] = ipk
 	}
 
 	// Per-workload adaptivity score: on how many workloads does the
@@ -88,5 +84,5 @@ func runPrefZoo(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Extension: L1 prefetcher zoo under RFP (stream vs SPP vs SISB vs managed)",
 		Text:    txt,
 		Metrics: metrics,
-	}, nil
+	}
 }

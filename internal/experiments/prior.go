@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"rfpsim/internal/config"
 	"rfpsim/internal/stats"
 )
@@ -10,8 +9,8 @@ import (
 // prior art, and the VP+RFP fusion. Paper: EVES-style VP alone 2.2%, RFP
 // alone 3.1%, VP+RFP 4.15% (54.6% combined coverage); Composite similar to
 // VP; EPP slightly below Composite due to SSBF re-executions.
-func runFig15(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
+func runFig15(s *suite) *Result {
+	base := s.run(config.Baseline())
 	metrics := map[string]float64{}
 	tb := stats.NewTable("Scheme", "Speedup", "Coverage (loads helped)")
 
@@ -31,31 +30,28 @@ func runFig15(ctx context.Context, opts Options) (*Result, error) {
 		{"rfp", config.Baseline().WithRFP(), rfpCov},
 		{"vp+rfp", config.Baseline().WithVP(config.VPEVES).WithRFP(), bothCov},
 	}
-	for _, s := range schemes {
-		runs := runConfig(ctx, s.cfg, opts)
-		pairs, err := pairRuns(base, runs)
-		if err != nil {
-			return nil, err
-		}
+	for _, sc := range schemes {
+		runs := s.run(sc.cfg)
+		pairs := pairRuns(base, runs)
 		sp := geomeanSpeedup(pairs)
-		cov := meanOver(runs, s.cov)
-		tb.AddRow(s.key, stats.Pct(sp), stats.Pct(cov))
-		metrics["speedup_"+s.key] = sp
-		metrics["coverage_"+s.key] = cov
+		cov := meanOver(runs, sc.cov)
+		tb.AddRow(sc.key, stats.Pct(sp), stats.Pct(cov))
+		metrics["speedup_"+sc.key] = sp
+		metrics["coverage_"+sc.key] = cov
 	}
 	return &Result{
 		ID:      "fig15",
 		Title:   "RFP vs value prediction (paper: VP 2.2%, RFP 3.1%, VP+RFP 4.15%)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runFig16 reproduces Figure 16: the DLVP constraint waterfall. Paper:
 // address-predictable like RFP; high-confidence filter → 49%; no-forward
 // filter → 45%; L1 port availability → 22%; probe-in-time → 11%.
-func runFig16(ctx context.Context, opts Options) (*Result, error) {
-	runs := runConfig(ctx, config.Baseline().WithVP(config.VPDLVP), opts)
+func runFig16(s *suite) *Result {
+	runs := s.run(config.Baseline().WithVP(config.VPDLVP))
 	frac := func(f func(*stats.Sim) uint64) float64 {
 		return meanOver(runs, func(s *stats.Sim) float64 {
 			if s.Loads == 0 {
@@ -84,5 +80,5 @@ func runFig16(ctx context.Context, opts Options) (*Result, error) {
 			"address_predictable": ap, "high_confidence": hc,
 			"no_fwd": nf, "probe_launched": pl, "probe_in_time": pt,
 		},
-	}, nil
+	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"rfpsim/internal/config"
@@ -13,19 +12,16 @@ import (
 // counters raise accuracy but shed coverage; since RFP mispredictions are
 // cheap (no flush), 1-bit wins on speedup — the paper's headline argument
 // for low-confidence prefetching.
-func runFig17(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
+func runFig17(s *suite) *Result {
+	base := s.run(config.Baseline())
 	tb := stats.NewTable("Confidence bits", "Speedup", "Coverage", "Wrong")
 	metrics := map[string]float64{}
 	for bits := 1; bits <= 4; bits++ {
 		cfg := config.Baseline().WithRFP()
 		cfg.RFP.ConfidenceBits = bits
 		cfg.Name = fmt.Sprintf("rfp-conf%d", bits)
-		runs := runConfig(ctx, cfg, opts)
-		pairs, err := pairRuns(base, runs)
-		if err != nil {
-			return nil, err
-		}
+		runs := s.run(cfg)
+		pairs := pairRuns(base, runs)
 		sp := geomeanSpeedup(pairs)
 		cov := meanOver(runs, (*stats.Sim).RFPCoverage)
 		wrong := meanOver(runs, (*stats.Sim).RFPWrongFrac)
@@ -39,24 +35,21 @@ func runFig17(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Confidence width sensitivity (paper: 1-bit best; 4-bit drops coverage, wrong 5%->0.7%)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runFig18 reproduces Figure 18: Prefetch Table entries 1K..16K. Paper:
 // small monotone improvement that flattens out.
-func runFig18(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
+func runFig18(s *suite) *Result {
+	base := s.run(config.Baseline())
 	tb := stats.NewTable("PT entries", "Speedup", "Coverage")
 	metrics := map[string]float64{}
 	for _, entries := range []int{1024, 2048, 4096, 8192, 16384} {
 		cfg := config.Baseline().WithRFP()
 		cfg.RFP.PTEntries = entries
 		cfg.Name = fmt.Sprintf("rfp-pt%d", entries)
-		runs := runConfig(ctx, cfg, opts)
-		pairs, err := pairRuns(base, runs)
-		if err != nil {
-			return nil, err
-		}
+		runs := s.run(cfg)
+		pairs := pairRuns(base, runs)
 		sp := geomeanSpeedup(pairs)
 		cov := meanOver(runs, (*stats.Sim).RFPCoverage)
 		tb.AddRow(fmt.Sprintf("%dK", entries/1024), stats.Pct(sp), stats.Pct(cov))
@@ -68,12 +61,12 @@ func runFig18(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Prefetch Table size sensitivity (paper: 1K->16K gains little)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runL1Latency reproduces §5.5.2: raising L1 latency from 5 to 6 cycles
 // increases RFP's gain (there is more latency to hide).
-func runL1Latency(ctx context.Context, opts Options) (*Result, error) {
+func runL1Latency(s *suite) *Result {
 	tb := stats.NewTable("L1 latency", "RFP speedup")
 	metrics := map[string]float64{}
 	for _, lat := range []int{5, 6} {
@@ -81,12 +74,9 @@ func runL1Latency(ctx context.Context, opts Options) (*Result, error) {
 		b.Mem.L1Latency = lat
 		b.Name = fmt.Sprintf("baseline-l1@%d", lat)
 		f := b.WithRFP()
-		base := runConfig(ctx, b, opts)
-		feat := runConfig(ctx, f, opts)
-		pairs, err := pairRuns(base, feat)
-		if err != nil {
-			return nil, err
-		}
+		base := s.run(b)
+		feat := s.run(f)
+		pairs := pairRuns(base, feat)
 		sp := geomeanSpeedup(pairs)
 		tb.AddRow(fmt.Sprintf("%d cycles", lat), stats.Pct(sp))
 		metrics[fmt.Sprintf("speedup_l1_%d", lat)] = sp
@@ -96,26 +86,20 @@ func runL1Latency(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "L1 latency sensitivity (paper: 6-cycle L1 raises RFP gain by ~0.5%)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runContext reproduces §5.5.3: adding the path-based context prefetcher
 // on top of the stride table. Paper: only +0.3%, so stride-only is enough.
-func runContext(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	stride := runConfig(ctx, config.Baseline().WithRFP(), opts)
+func runContext(s *suite) *Result {
+	base := s.run(config.Baseline())
+	stride := s.run(config.Baseline().WithRFP())
 	ctxCfg := config.Baseline().WithRFP()
 	ctxCfg.RFP.UseContext = true
 	ctxCfg.Name = "baseline+rfp+ctx"
-	ctxRuns := runConfig(ctx, ctxCfg, opts)
-	stridePairs, err := pairRuns(base, stride)
-	if err != nil {
-		return nil, err
-	}
-	ctxPairs, err := pairRuns(base, ctxRuns)
-	if err != nil {
-		return nil, err
-	}
+	ctxRuns := s.run(ctxCfg)
+	stridePairs := pairRuns(base, stride)
+	ctxPairs := pairRuns(base, ctxRuns)
 	spStride, spCtx := geomeanSpeedup(stridePairs), geomeanSpeedup(ctxPairs)
 	tb := stats.NewTable("Prefetcher", "Speedup", "Coverage")
 	tb.AddRow("stride only", stats.Pct(spStride), stats.Pct(meanOver(stride, (*stats.Sim).RFPCoverage)))
@@ -125,27 +109,21 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Context prefetcher (paper: +0.3% over stride — not worth the storage)",
 		Text:    tb.String(),
 		Metrics: map[string]float64{"speedup_stride": spStride, "speedup_context": spCtx},
-	}, nil
+	}
 }
 
 // runPAT reproduces §5.5.4: PT entries hold a 6-bit PAT pointer + 12-bit
 // page offset instead of a 64-bit VA. Paper: ~50% storage saved for a
 // negligible 0.09% performance drop.
-func runPAT(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	full := runConfig(ctx, config.Baseline().WithRFP(), opts)
+func runPAT(s *suite) *Result {
+	base := s.run(config.Baseline())
+	full := s.run(config.Baseline().WithRFP())
 	patCfg := config.Baseline().WithRFP()
 	patCfg.RFP.UsePAT = true
 	patCfg.Name = "baseline+rfp+pat"
-	pat := runConfig(ctx, patCfg, opts)
-	fullPairs, err := pairRuns(base, full)
-	if err != nil {
-		return nil, err
-	}
-	patPairs, err := pairRuns(base, pat)
-	if err != nil {
-		return nil, err
-	}
+	pat := s.run(patCfg)
+	fullPairs := pairRuns(base, full)
+	patPairs := pairRuns(base, pat)
 	spFull, spPAT := geomeanSpeedup(fullPairs), geomeanSpeedup(patPairs)
 	sFull := rfp.Storage(config.Baseline().WithRFP().RFP, config.Baseline().RSSize)
 	sPAT := rfp.Storage(patCfg.RFP, config.Baseline().RSSize)
@@ -160,13 +138,13 @@ func runPAT(ctx context.Context, opts Options) (*Result, error) {
 		Metrics: map[string]float64{
 			"speedup_full": spFull, "speedup_pat": spPAT, "storage_saving": saving,
 		},
-	}, nil
+	}
 }
 
 // runSimplifications reproduces §5.5.5: dropping prefetches on DTLB misses
 // costs ~nothing; letting prefetches fetch L1 misses is worth ~0.02%.
-func runSimplifications(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
+func runSimplifications(s *suite) *Result {
+	base := s.run(config.Baseline())
 	variants := []struct {
 		key string
 		mut func(*config.RFPConfig)
@@ -181,11 +159,8 @@ func runSimplifications(ctx context.Context, opts Options) (*Result, error) {
 		cfg := config.Baseline().WithRFP()
 		v.mut(&cfg.RFP)
 		cfg.Name = fmt.Sprintf("rfp-simpl%d", i)
-		runs := runConfig(ctx, cfg, opts)
-		pairs, err := pairRuns(base, runs)
-		if err != nil {
-			return nil, err
-		}
+		runs := s.run(cfg)
+		pairs := pairRuns(base, runs)
 		sp := geomeanSpeedup(pairs)
 		tb.AddRow(v.key, stats.Pct(sp), stats.Pct(meanOver(runs, (*stats.Sim).RFPCoverage)))
 		metrics[fmt.Sprintf("speedup_%d", i)] = sp
@@ -195,11 +170,11 @@ func runSimplifications(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Pipeline simplifications (paper: both are ~free)",
 		Text:    tb.String(),
 		Metrics: metrics,
-	}, nil
+	}
 }
 
 // runTable1 reproduces Table 1: the RFP storage bill of materials.
-func runTable1(context.Context, Options) (*Result, error) {
+func runTable1(*suite) *Result {
 	tb := stats.NewTable("Structure", "Fields", "Storage")
 	cfgPAT := config.DefaultRFP()
 	cfgPAT.UsePAT = true
@@ -220,7 +195,7 @@ func runTable1(context.Context, Options) (*Result, error) {
 			"pt_bits_1k": float64(rep1k.PTBits), "pat_bits": float64(rep1k.PATBits),
 			"rs_bits": float64(rep1k.RFPInflightBits),
 		},
-	}, nil
+	}
 }
 
 func fmtKB(bits int) string {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -15,13 +14,10 @@ import (
 // means. It keeps the synthetic suite aligned with the paper's
 // population-level facts (≈93% L1 hits, ≈43% RFP coverage); the means are
 // the numbers fig2 and fig10 report.
-func runSuite(ctx context.Context, opts Options) (*Result, error) {
-	base := runConfig(ctx, config.Baseline(), opts)
-	feat := runConfig(ctx, config.Baseline().WithRFP(), opts)
-	pairs, err := pairRuns(base, feat)
-	if err != nil {
-		return nil, err
-	}
+func runSuite(s *suite) *Result {
+	base := s.run(config.Baseline())
+	feat := s.run(config.Baseline().WithRFP())
+	pairs := pairRuns(base, feat)
 	l1 := func(p pair) float64 { return p.base.LoadLevelFrac(stats.LevelL1) }
 	sort.SliceStable(pairs, func(i, j int) bool { return l1(pairs[i]) < l1(pairs[j]) })
 
@@ -50,5 +46,5 @@ func runSuite(ctx context.Context, opts Options) (*Result, error) {
 		Title:   "Per-workload suite calibration, sorted by L1 share (paper: ≈93% L1 hits, ≈43% RFP coverage)",
 		Text:    txt,
 		Metrics: metrics,
-	}, nil
+	}
 }

@@ -20,7 +20,11 @@ func TestSuitePopulationFacts(t *testing.T) {
 		t.Skip("long")
 	}
 	opts := Quick()
-	runs := runConfig(context.Background(), config.Baseline(), opts)
+	su := newSuite(context.Background(), opts)
+	runs := su.run(config.Baseline())
+	if su.err != nil {
+		t.Fatal(su.err)
+	}
 
 	// Fact 1 (Figure 2): the large majority of loads hit the L1.
 	l1 := meanOver(runs, func(s *stats.Sim) float64 { return s.LoadLevelFrac(stats.LevelL1) })
@@ -54,9 +58,6 @@ func TestSuitePopulationFacts(t *testing.T) {
 	// 0.5, cache-friendly codes above 2.5.
 	lo, hi := 100.0, 0.0
 	for _, r := range runs {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
 		ipc := r.Stats.IPC()
 		if ipc < lo {
 			lo = ipc

@@ -98,12 +98,6 @@ type Options struct {
 	// (0 = QueueDepth): one tenant's burst 429s against its own bound
 	// while other tenants' queues stay open.
 	TenantQueueDepth int
-	// TraceCacheEntries and TraceCacheBytes bound the uploaded-trace
-	// store's in-memory working set (0 = 64 entries / 256 MiB). With a
-	// disk cache configured, evicted and pre-restart traces keep
-	// resolving from disk (docs/traces.md).
-	TraceCacheEntries int
-	TraceCacheBytes   int64
 }
 
 func (o Options) workers() int {
@@ -332,7 +326,10 @@ func New(opts Options) (*Server, error) {
 		}
 		s.disk, traceTier = d, d
 	}
-	s.traces = NewTraceStore(opts.TraceCacheEntries, opts.TraceCacheBytes, traceTier)
+	// The uploaded-trace store keeps its default in-memory bounds (64
+	// entries / 256 MiB); with a disk cache, evicted and pre-restart
+	// traces keep resolving from disk (docs/traces.md).
+	s.traces = NewTraceStore(0, 0, traceTier)
 	registry.Register(s.metrics)
 	registry.Register(s.jobSecs)
 	registry.Register(s.queueWait)

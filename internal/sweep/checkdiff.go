@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"sync"
 
 	"rfpsim/internal/check"
 	"rfpsim/internal/config"
 	"rfpsim/internal/experiments"
+	"rfpsim/internal/isa"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
 	"rfpsim/internal/service"
+	"rfpsim/internal/tracefile"
 )
 
 // DiffUnit is one check_diff grid point: a variant configuration under
@@ -30,8 +33,11 @@ type DiffUnit struct {
 // workloads innermost. Every grid point's configuration is the VARIANT
 // side of a differential; the base side is derived by the spec's
 // DiffMode. Knobs the differential harness deliberately ignores are
-// rejected rather than silently dropped.
-func (s *Spec) ExpandDiff() ([]DiffUnit, error) {
+// rejected rather than silently dropped. A "trace:<sha256>" workload runs
+// the bytes traces holds under that address (rfpsweep -traces fills it);
+// an address traces does not hold, or a nil traces, is an error here, so
+// the oracle never compares a stream other than the uploaded one.
+func (s *Spec) ExpandDiff(traces *service.TraceStore) ([]DiffUnit, error) {
 	if !s.CheckDiff() {
 		return nil, fmt.Errorf("sweep: ExpandDiff needs mode \"check_diff\", not %q", s.Mode)
 	}
@@ -59,16 +65,23 @@ func (s *Spec) ExpandDiff() ([]DiffUnit, error) {
 	if err != nil {
 		return nil, err
 	}
+	gens := make([]func() isa.Generator, len(specs))
+	for i := range specs {
+		if gens[i], err = traceGen(specs[i].Name, traces); err != nil {
+			return nil, err
+		}
+		specs[i].Name = displayName(specs[i].Name)
+	}
 	var units []DiffUnit
 	err = s.eachPoint(func(_ service.ConfigSpec, variant config.Core, point string) error {
 		base, sampledVsFull, err := check.BaseFor(mode, variant)
 		if err != nil {
 			return err
 		}
-		for _, wl := range specs {
+		for i, wl := range specs {
 			d := check.Differential{
 				Base: base, Variant: variant,
-				Spec: wl,
+				Spec: wl, NewGen: gens[i],
 				Uops: s.MeasureUops,
 			}
 			if sampledVsFull {
@@ -86,6 +99,24 @@ func (s *Spec) ExpandDiff() ([]DiffUnit, error) {
 		return nil, err
 	}
 	return units, nil
+}
+
+// traceGen resolves a "trace:<sha256>" workload to a generator factory
+// over the bytes traces holds for it; a catalog workload needs none (nil).
+func traceGen(name string, traces *service.TraceStore) (func() isa.Generator, error) {
+	addr, ok := strings.CutPrefix(name, service.TraceWorkloadPrefix)
+	if !ok {
+		return nil, nil
+	}
+	var raw []byte
+	found := false
+	if traces != nil {
+		raw, _, found = traces.Get(addr)
+	}
+	if !found {
+		return nil, fmt.Errorf("sweep: unknown trace address %s (register the file with rfpsweep -traces)", name)
+	}
+	return tracefile.Factory(raw, displayName(name))
 }
 
 // DiffSummary is the outcome of a check_diff sweep.

@@ -3,8 +3,13 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"rfpsim/internal/runner"
+	"rfpsim/internal/service"
+	"rfpsim/internal/tracefile"
 )
 
 const diffSpecJSON = `{
@@ -28,7 +33,7 @@ func TestCheckDiffSweep(t *testing.T) {
 	if !spec.CheckDiff() {
 		t.Fatal("spec should be in check_diff mode")
 	}
-	units, err := spec.ExpandDiff()
+	units, err := spec.ExpandDiff(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +109,7 @@ func TestCheckDiffSpecValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(s)
-		if _, err := s.ExpandDiff(); err == nil {
+		if _, err := s.ExpandDiff(nil); err == nil {
 			t.Errorf("ExpandDiff should reject the mutated spec")
 		}
 	}
@@ -112,4 +117,61 @@ func TestCheckDiffSpecValidation(t *testing.T) {
 	reject(func(s *Spec) { s.Seeds = 3 })
 	reject(func(s *Spec) { s.ColdCaches = true })
 	reject(func(s *Spec) { s.DiffMode = "nonsense" })
+}
+
+// TestCheckDiffTraceWorkload: a "trace:<sha256>" entry in a check_diff
+// sweep runs the registered trace on both sides — the base side's
+// statistics equal a plain run of the same bytes — and is labelled with
+// the shortened address. An address the store does not hold, or no store
+// at all, fails at expand time instead of comparing some other stream.
+func TestCheckDiffTraceWorkload(t *testing.T) {
+	store := service.NewTraceStore(0, 0, nil)
+	raw := traceRFPT(t, 4000)
+	info, _, err := store.Add(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpec([]byte(fmt.Sprintf(`{
+		"name": "trdiff", "mode": "check_diff",
+		"workloads": [%q], "base": {"rfp": true}, "measure_uops": 2000
+	}`, info.Workload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*service.TraceStore{nil, service.NewTraceStore(0, 0, nil)} {
+		if _, err := spec.ExpandDiff(st); err == nil || !strings.Contains(err.Error(), "unknown trace address") {
+			t.Errorf("expanding from store %p: err = %v, want an unknown trace address", st, err)
+		}
+	}
+	units, err := spec.ExpandDiff(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "trdiff/" + info.Workload[:len("trace:")+16] + "/base"; len(units) != 1 || units[0].Label != want {
+		t.Fatalf("units = %+v, want one labelled %s", units, want)
+	}
+	res, err := units[0].Diff.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Diverged || res.BaseViolations+res.VariantViolations != 0 {
+		t.Errorf("trace differential not clean: %s", res)
+	}
+
+	newGen, err := tracefile.Factory(raw, "direct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := units[0].Diff.Base
+	cfg.Checks.Enabled = true
+	want, err := runner.Run(context.Background(), runner.Job{
+		Config: cfg, Spec: units[0].Diff.Spec, NewGen: newGen, MeasureUops: 2000, Seeds: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.BaseStats; got.Cycles != want.Cycles || got.Loads != want.Loads || got.Instructions != want.Instructions {
+		t.Errorf("base side ran %d cycles, %d loads, %d uops; the trace runs %d, %d, %d",
+			got.Cycles, got.Loads, got.Instructions, want.Cycles, want.Loads, want.Instructions)
+	}
 }

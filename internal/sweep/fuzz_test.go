@@ -31,7 +31,7 @@ func FuzzSweepSpec(f *testing.F) {
 		}
 		var labels []string
 		if s.CheckDiff() {
-			units, err := s.ExpandDiff()
+			units, err := s.ExpandDiff(nil)
 			if err != nil {
 				return
 			}
