@@ -1,15 +1,16 @@
 // Command rfpsweep runs a configuration-space sweep — the paper's Figures
 // 13–18 are all sweeps — as a fault-tolerant orchestration over either the
-// in-process runner or a fleet of rfpsimd daemons. Every completed unit is
-// journalled to an append-only JSONL checkpoint, so a crashed or killed
-// sweep resumes with -resume and re-runs only the missing units; the final
-// CSV is byte-identical however many times the sweep was interrupted and
+// in-process runner or a fleet of rfpsimd daemons. With -cache-dir every
+// completed unit is stored in a result cache — the same store rfpsimd
+// -cache-dir keeps — so a crashed or killed sweep rerun over the same
+// directory re-runs only the missing units; the final CSV is
+// byte-identical however many times the sweep was interrupted and
 // whichever backend executed it. See docs/sweep.md for the spec format.
 //
 // Usage:
 //
-//	rfpsweep -spec sweep.json [-out sweep.csv] [-checkpoint sweep.ckpt]
-//	         [-resume] [-endpoints http://a:8080,http://b:8080]
+//	rfpsweep -spec sweep.json [-out sweep.csv] [-cache-dir DIR]
+//	         [-endpoints http://a:8080,http://b:8080]
 //	         [-parallel N] [-retries N] [-progress 5s] [-metrics] [-dry-run]
 //	         [-timings timings.csv] [-metrics-addr :9090]
 //	         [-log-format text|json] [-log-level info]
@@ -21,6 +22,10 @@
 // store, fleet sweeps upload them to every endpoint via POST /v1/traces
 // first. See docs/traces.md.
 //
+// -cache-dir is capped at rfpsimd's default 1 GiB; an evicted unit is
+// simulated again. A daemon can serve a sweep's directory, and a sweep
+// can read a daemon's. See docs/sweep.md.
+//
 // -timings writes a per-unit, per-stage wall-time CSV next to the (still
 // byte-deterministic) aggregate CSV; -metrics-addr serves the sweep's live
 // Prometheus counters over HTTP for the duration of the run. See
@@ -30,7 +35,7 @@
 // oracle (docs/checking.md) over the grid instead of simulations: each
 // configuration is paired against its diff_mode-derived base, committed
 // digests are compared, and the exit status gates on zero divergence and
-// zero invariant violations. In-process only; no checkpoint/resume.
+// zero invariant violations. In-process only; no result cache.
 package main
 
 import (
@@ -48,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"rfpsim/internal/fabric"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/service"
 	"rfpsim/internal/sweep"
@@ -57,8 +63,7 @@ func main() {
 	var (
 		specPath    = flag.String("spec", "", "sweep spec JSON file (required)")
 		outPath     = flag.String("out", "", "aggregate CSV output file (default stdout)")
-		checkpoint  = flag.String("checkpoint", "", "append-only JSONL checkpoint journal")
-		resume      = flag.Bool("resume", false, "replay the checkpoint and run only missing units")
+		cacheDir    = flag.String("cache-dir", "", "persistent result cache directory, shared with rfpsimd -cache-dir: cached units are not run again (empty = disabled)")
 		endpoints   = flag.String("endpoints", "", "comma-separated rfpsimd base URLs (empty = run in-process)")
 		parallel    = flag.Int("parallel", 0, "unit groups in flight at once: families of sampled units, or single units (0 = 4)")
 		retries     = flag.Int("retries", 0, "max attempts per unit on the http backend (0 = 8)")
@@ -74,10 +79,6 @@ func main() {
 	flag.Parse()
 	if *specPath == "" {
 		fmt.Fprintln(os.Stderr, "rfpsweep: -spec is required (see docs/sweep.md)")
-		os.Exit(2)
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "rfpsweep: -resume needs -checkpoint")
 		os.Exit(2)
 	}
 	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -98,10 +99,10 @@ func main() {
 
 	// mode "check_diff" runs the differential oracle over the grid
 	// instead of plain simulations: in-process only (both sides of every
-	// pair must run in one process to compare digests), no checkpointing.
+	// pair must run in one process to compare digests), no result cache.
 	if spec.CheckDiff() {
-		if *endpoints != "" || *checkpoint != "" || *resume || *timingsPath != "" {
-			fmt.Fprintln(os.Stderr, "rfpsweep: mode check_diff runs in-process only (no -endpoints, -checkpoint, -resume or -timings)")
+		if *endpoints != "" || *cacheDir != "" || *timingsPath != "" {
+			fmt.Fprintln(os.Stderr, "rfpsweep: mode check_diff runs in-process only (no -endpoints, -cache-dir or -timings)")
 			os.Exit(2)
 		}
 		store := service.NewTraceStore(0, 0, nil)
@@ -150,10 +151,13 @@ func main() {
 	}
 
 	opts := sweep.Options{
-		Parallel:       *parallel,
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
-		ProgressEvery:  *progress,
+		Parallel:      *parallel,
+		ProgressEvery: *progress,
+	}
+	if *cacheDir != "" {
+		if opts.Cache, err = fabric.OpenDiskCache(*cacheDir, 0); err != nil {
+			fatal(err)
+		}
 	}
 	if *progress > 0 {
 		opts.Progress = os.Stderr
@@ -175,8 +179,8 @@ func main() {
 		}
 	}
 	if runErr != nil {
-		if ctx.Err() != nil && *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "rfpsweep: interrupted with %d/%d units journalled; rerun with -resume to finish\n",
+		if ctx.Err() != nil && sum != nil && *cacheDir != "" {
+			fmt.Fprintf(os.Stderr, "rfpsweep: interrupted with %d/%d units cached; rerun with the same -cache-dir to finish\n",
 				len(sum.Results), len(units))
 		}
 		fatal(runErr)

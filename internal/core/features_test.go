@@ -118,6 +118,44 @@ func TestPATResidentMatchesFullAddressTable(t *testing.T) {
 	}
 }
 
+// TestCLPPredictedDRAMInjectsNothing pins CLP's DRAM gate: a strided load
+// that misses to DRAM on every iteration (no L1 prefetcher, no wrap) is
+// predicted to go to DRAM, so CLP suppresses every prefetch RFP alone
+// would inject — and since none of those prefetches could arrive in time,
+// timing is cycle-identical. The 64-byte stride stays within the PT's
+// 8-bit stride field; a 128-byte stride never trains and the pin would
+// hold vacuously.
+func TestCLPPredictedDRAMInjectsNothing(t *testing.T) {
+	mk := func() *loopGen {
+		return &loopGen{
+			name: "dram-stream",
+			body: []isa.MicroOp{
+				ld(0x10, 1, 2, 0x10000000),
+				alu(0x14, 3, 1, 3),
+				br(0x18, true),
+			},
+			strides: []int64{64, 0, 0},
+		}
+	}
+	for _, n := range []uint64{10000, 40000} {
+		rfp := run(t, config.Baseline().WithRFP(), mk(), n)
+		clp := run(t, config.Baseline().WithCLP(), mk(), n)
+		if rfp.RFP.Injected == 0 {
+			t.Fatalf("n=%d: RFP alone injected nothing; the pin would hold vacuously", n)
+		}
+		if clp.RFP.Injected != 0 {
+			t.Errorf("n=%d: CLP injected %d packets on predicted-DRAM loads, want 0", n, clp.RFP.Injected)
+		}
+		if clp.CLP.SkippedDRAM != rfp.RFP.Injected {
+			t.Errorf("n=%d: CLP skipped %d DRAM prefetches, want the %d RFP alone injects", n, clp.CLP.SkippedDRAM, rfp.RFP.Injected)
+		}
+		if clp.Cycles != rfp.Cycles {
+			t.Errorf("n=%d: CLP run took %d cycles, RFP alone %d; want identical", n, clp.Cycles, rfp.Cycles)
+		}
+		t.Logf("n=%d: %d cycles, %d prefetches skipped (useful without CLP: %d)", n, clp.Cycles, clp.CLP.SkippedDRAM, rfp.RFP.Useful)
+	}
+}
+
 // TestWarmCachesMakesColdStartWarm compares first-window L1 hit rates with
 // and without footprint warming.
 func TestWarmCachesMakesColdStartWarm(t *testing.T) {

@@ -157,9 +157,9 @@ func (s *suite) run(cfg config.Core) []Run {
 			failed.Store(true)
 		}
 	})
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			s.err = fmt.Errorf("experiments: %s on %s: %w", specs[i].Name, cfg.Name, err)
+			s.err = fmt.Errorf("experiments: %w", err)
 			return runs
 		}
 	}

@@ -115,7 +115,7 @@ type Job struct {
 // zero value of each field selects the documented default; internal/sample
 // owns the defaulting and the execution. The JSON tags are its wire form
 // (service.SamplingSpec is this type), used by /v1/sim requests and
-// responses, sweep specs and sweep checkpoint lines.
+// responses and sweep specs.
 type Sampling struct {
 	// IntervalUops is the profiling/replay interval length (default 2000).
 	// The measured window is split into MeasureUops/IntervalUops
@@ -154,9 +154,9 @@ func (j Job) TotalUops() uint64 {
 // never shares a key with the full-window run it approximates. Sampling
 // is hashed as given: key a normalized spec (sample.Normalized) so that
 // spelled-out and omitted defaults share a key. Determinism makes equal
-// keys equal results. The rfpsimd result cache, sweep checkpoints and the experiment
-// memo all key by it; internal/service pins the format, which must not
-// drift.
+// keys equal results. The rfpsimd result cache (which sweeps share) and
+// the experiment memo key by it; internal/service pins the format, which
+// must not drift.
 func (j Job) Key() string {
 	cfgJSON, err := json.Marshal(j.Config)
 	if err != nil {
@@ -188,21 +188,32 @@ func (j Job) Key() string {
 // aggregate) is added to it, and per-replica completions are logged at
 // debug level through obs.Logger, carrying whatever run ID the caller
 // minted at its API boundary.
+//
+// Every error names the job once, as "runner: <workload> on <config>:",
+// so callers wrap it without naming the job again.
 func Run(ctx context.Context, job Job) (*stats.Sim, error) {
+	st, err := run(ctx, job)
+	if err != nil {
+		return nil, fmt.Errorf("runner: %s on %s: %w", job.Spec.Name, job.Config.Name, err)
+	}
+	return st, nil
+}
+
+func run(ctx context.Context, job Job) (*stats.Sim, error) {
 	if err := job.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("runner: invalid config: %w", err)
+		return nil, fmt.Errorf("invalid config: %w", err)
 	}
 	if job.MeasureUops == 0 {
-		return nil, errors.New("runner: MeasureUops is 0 — the job would simulate nothing; set the measured window explicitly")
+		return nil, errors.New("MeasureUops is 0 — the job would simulate nothing; set the measured window explicitly")
 	}
 	if job.Seeds < 1 {
-		return nil, fmt.Errorf("runner: Seeds is %d — the replica count must be explicit; set Seeds: 1 for a single replica", job.Seeds)
+		return nil, fmt.Errorf("Seeds is %d — the replica count must be explicit; set Seeds: 1 for a single replica", job.Seeds)
 	}
 	if job.Sampling != nil {
-		return nil, errors.New("runner: job requests sampled simulation; execute it with internal/sample.RunResult (runner.Run is the full-window path)")
+		return nil, errors.New("job requests sampled simulation; execute it with internal/sample.RunResult (runner.Run is the full-window path)")
 	}
 	if job.NewGen != nil && job.seeds() > 1 {
-		return nil, errors.New("runner: a generator override supports a single seed only")
+		return nil, errors.New("a generator override supports a single seed only")
 	}
 	tim := obs.ContextTimings(ctx)
 	observe := func(stage string, since time.Time) {
@@ -228,7 +239,7 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 		observe(obs.StageFastForward, begin)
 		st, err := Measure(ctx, c, job)
 		if err != nil {
-			return nil, fmt.Errorf("runner: %s seed %d %w", job.Spec.Name, s, err)
+			return nil, fmt.Errorf("seed %d %w", s, err)
 		}
 		begin = time.Now()
 		stats.Accumulate(total, st)

@@ -199,6 +199,54 @@ func TestRejectsSampledJob(t *testing.T) {
 	}
 }
 
+// TestErrorsNameTheJob: runner.Run owns naming a failed job, so every
+// error it returns — each validation failure and a cancelled run — names
+// the workload and the configuration exactly once.
+func TestErrorsNameTheJob(t *testing.T) {
+	good := Job{
+		Config:      config.Baseline(),
+		Spec:        mcf(t),
+		WarmupUops:  100,
+		MeasureUops: 100,
+		Seeds:       1,
+	}
+	badConfig := good
+	badConfig.Config.ROBSize = 0
+	noMeasure := good
+	noMeasure.MeasureUops = 0
+	noSeeds := good
+	noSeeds.Seeds = 0
+	sampled := good
+	sampled.Sampling = &Sampling{IntervalUops: 50}
+	override := good
+	override.NewGen, override.Seeds = good.Spec.New, 2
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		ctx  context.Context
+		job  Job
+	}{
+		{"invalid config", context.Background(), badConfig},
+		{"MeasureUops 0", context.Background(), noMeasure},
+		{"Seeds 0", context.Background(), noSeeds},
+		{"sampled", context.Background(), sampled},
+		{"generator override", context.Background(), override},
+		{"cancelled", cancelled, good},
+	}
+	for _, tc := range cases {
+		_, err := Run(tc.ctx, tc.job)
+		if err == nil {
+			t.Errorf("%s: accepted, want an error", tc.name)
+			continue
+		}
+		const name = "spec06_mcf on baseline:"
+		if msg := err.Error(); strings.Count(msg, name) != 1 || strings.Count(msg, "spec06_mcf") != 1 {
+			t.Errorf("%s: error %q does not name %q exactly once", tc.name, msg, name)
+		}
+	}
+}
+
 // TestTotalUops: the job-size accounting the service ceiling and the
 // sweep ETA both rely on counts every replica's warmup and measurement.
 func TestTotalUops(t *testing.T) {

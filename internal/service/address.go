@@ -175,9 +175,9 @@ func attachTraceGen(job *runner.Job, raw []byte) error {
 
 // ContentAddress returns the daemon's cache key for a request: the
 // runner.Job.Key of the job the normalized request resolves to. It is
-// exported so sweep deduplication and checkpointing key units exactly the
-// way the rfpsimd result cache does — the key format is pinned by a test
-// and must not drift.
+// exported so sweeps key units exactly the way the rfpsimd result cache
+// does, and share that cache — the key format is pinned by a test and
+// must not drift.
 func ContentAddress(req SimRequest) (string, error) {
 	rj, err := resolveRequest(req)
 	if err != nil {

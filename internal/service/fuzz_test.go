@@ -9,7 +9,7 @@ import (
 // resolution path: decoding and resolving must never panic, and any
 // request that resolves must key a stable, non-empty content address —
 // resolving twice yields the same key (the property the result cache,
-// the sweep checkpoint and cross-process dedup all assume). Seed corpus
+// which sweeps share, and cross-process dedup assume). Seed corpus
 // under testdata/fuzz/FuzzServiceRequest.
 func FuzzServiceRequest(f *testing.F) {
 	f.Add([]byte(`{"workload":"spec06_mcf","config":{"rfp":true},"warmup_uops":2000,"measure_uops":4000}`))

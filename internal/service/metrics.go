@@ -19,6 +19,7 @@ type Metrics struct {
 	jobsOK        atomic.Uint64 // counter: jobs finished successfully
 	jobsCancelled atomic.Uint64 // counter: jobs cancelled (timeout/disconnect)
 	jobsFailed    atomic.Uint64 // counter: jobs that errored (wedge, bad trace)
+	jobsWedged    atomic.Uint64 // counter: the subset of jobsFailed whose pipeline wedged
 	jobsRejected  atomic.Uint64 // counter: jobs refused with 429 (queue full)
 
 	cacheHits      atomic.Uint64
@@ -63,6 +64,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	obs.Sample(w, "rfpsimd_jobs_done_total", `status="ok"`, m.jobsOK.Load())
 	obs.Sample(w, "rfpsimd_jobs_done_total", `status="cancelled"`, m.jobsCancelled.Load())
 	obs.Sample(w, "rfpsimd_jobs_done_total", `status="error"`, m.jobsFailed.Load())
+	obs.Counter(w, "rfpsimd_jobs_wedged_total", "Errored jobs whose simulated pipeline wedged (core.ErrWedged); each is also counted under status=\"error\".", m.jobsWedged.Load())
 	obs.Counter(w, "rfpsimd_jobs_rejected_total", "Jobs refused with 429 because the queue was full.", m.jobsRejected.Load())
 	obs.Counter(w, "rfpsimd_cache_hits_total", "Requests served from the result cache.", m.cacheHits.Load())
 	obs.Counter(w, "rfpsimd_cache_misses_total", "Requests that had to simulate.", m.cacheMisses.Load())

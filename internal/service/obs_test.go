@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"io"
 	"log/slog"
@@ -10,7 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"rfpsim/internal/core"
 	"rfpsim/internal/obs"
 )
 
@@ -52,6 +56,53 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("/metrics exposition drifted from %s (run with -update after deliberate changes)\ngot:\n%s\nwant:\n%s",
 			goldenPath, got, want)
+	}
+}
+
+// TestWedgedJobCounted: a job whose pipeline wedges reaches the worker as
+// core.ErrWedged and is counted twice — under status="error" and in
+// rfpsimd_jobs_wedged_total — while an ordinary failure counts only as an
+// error. No request knob wedges the core, so the test pushes resolved
+// jobs straight onto the queue.
+func TestWedgedJobCounted(t *testing.T) {
+	svc, ts := newTestServer(t, Options{Workers: 1})
+	push := func(mutate func(rj *resolvedJob)) error {
+		rj, err := resolveRequest(SimRequest{Workload: "spec06_mcf", WarmupUops: 1000, MeasureUops: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(rj)
+		j := &job{ctx: context.Background(), resolved: rj, tenant: DefaultTenant,
+			enqueued: time.Now(), result: make(chan jobResult, 1)}
+		if ok, _ := svc.enqueue(j); !ok {
+			t.Fatal("job not admitted")
+		}
+		return (<-j.result).err
+	}
+	// Nothing reaches rename within the wedge limit.
+	err := push(func(rj *resolvedJob) { rj.job.Config.FrontendLatency = 1 << 20 })
+	if !errors.Is(err, core.ErrWedged) {
+		t.Fatalf("err = %v, want one wrapping core.ErrWedged", err)
+	}
+	if err := push(func(rj *resolvedJob) { rj.job.Seeds = 0 }); err == nil || errors.Is(err, core.ErrWedged) {
+		t.Fatalf("err = %v, want a non-wedge failure", err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\nrfpsimd_jobs_wedged_total 1\n",
+		"\nrfpsimd_jobs_done_total{status=\"error\"} 2\n",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
 	}
 }
 

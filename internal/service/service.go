@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"rfpsim/internal/core"
 	"rfpsim/internal/experiments"
 	"rfpsim/internal/fabric"
 	"rfpsim/internal/obs"
@@ -213,6 +214,17 @@ func (r *SimResponse) WriteCSVRows(cw *csv.Writer, label string) error {
 		}
 	}
 	return nil
+}
+
+// Body encodes r as a /v1/sim response body: its JSON and a newline. It
+// is the one encoding of a stored result, so the daemon's cache tiers and
+// a sweep's -cache-dir hold the same bytes for the same content address.
+func (r *SimResponse) Body() ([]byte, error) {
+	body, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
 }
 
 // Response assembles the deterministic result body for a completed job.
@@ -420,6 +432,9 @@ func (s *Server) worker() {
 			log.Warn("job cancelled", "status", "cancelled", "err", res.err.Error())
 		default:
 			s.metrics.jobsFailed.Add(1)
+			if errors.Is(res.err, core.ErrWedged) {
+				s.metrics.jobsWedged.Add(1)
+			}
 			log.Error("job failed", "status", "error", "err", res.err.Error())
 		}
 		j.result <- res
@@ -454,11 +469,11 @@ func (s *Server) execute(ctx context.Context, rj *resolvedJob) jobResult {
 	if err != nil {
 		return jobResult{err: err}
 	}
-	body, err := json.Marshal(Response(job, res))
+	resp := Response(job, res)
+	body, err := resp.Body()
 	if err != nil {
 		return jobResult{err: err}
 	}
-	body = append(body, '\n')
 	s.cache.put(rj.key, body, int64(len(body)))
 	if s.disk != nil {
 		// Best effort: a full disk degrades the daemon to memory-only

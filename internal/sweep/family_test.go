@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,9 +201,9 @@ func TestFamilySweepMatchesPerUnit(t *testing.T) {
 	}
 }
 
-// TestFamilyResumeMidFamily: with a checkpoint that holds two of a
-// family's four units, -resume runs only the other two, and the CSV
-// equals a from-scratch run's byte for byte.
+// TestFamilyResumeMidFamily: with a cache that holds two of a family's
+// four units, a rerun over it runs only the other two, and the CSV equals
+// a from-scratch run's byte for byte.
 func TestFamilyResumeMidFamily(t *testing.T) {
 	units := familyUnits(t, "spec06_omnetpp")
 	ref, err := Run(context.Background(), units, LocalBackend{}, Options{Parallel: 1}, nil)
@@ -213,12 +212,12 @@ func TestFamilyResumeMidFamily(t *testing.T) {
 	}
 	wantCSV := runToCSV(t, ref)
 
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	if _, err := Run(context.Background(), []Unit{units[1], units[3]}, LocalBackend{}, Options{Parallel: 1, CheckpointPath: ckpt}, nil); err != nil {
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), []Unit{units[1], units[3]}, LocalBackend{}, Options{Parallel: 1, Cache: openCache(t, dir)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	rec := &recordingBackend{inner: LocalBackend{}}
-	sum, err := Run(context.Background(), units, rec, Options{Parallel: 1, CheckpointPath: ckpt, Resume: true}, nil)
+	sum, err := Run(context.Background(), units, rec, Options{Parallel: 1, Cache: openCache(t, dir)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

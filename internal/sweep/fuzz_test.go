@@ -5,7 +5,7 @@ import "testing"
 // FuzzSweepSpec feeds arbitrary JSON to the spec parser and, when it
 // parses, expands a bounded grid: neither step may panic, and every
 // expanded unit must carry a non-empty label and content address (the
-// invariants the checkpoint journal and the CSV key on). Oversized
+// invariants the result cache and the CSV key on). Oversized
 // grids are skipped — the contract under test is validation, not
 // combinatorics. Seed corpus under testdata/fuzz/FuzzSweepSpec.
 func FuzzSweepSpec(f *testing.F) {

@@ -19,7 +19,7 @@ import (
 type Metrics struct {
 	total   atomic.Uint64 // gauge: units in the sweep
 	done    atomic.Uint64 // counter: units completed this run
-	skipped atomic.Uint64 // counter: units satisfied by the checkpoint
+	skipped atomic.Uint64 // counter: units served from the cache
 	failed  atomic.Uint64 // counter: units terminally failed
 	retried atomic.Uint64 // counter: extra backend attempts
 
@@ -46,7 +46,7 @@ func (m *Metrics) Failed() uint64 { return m.failed.Load() }
 // Retried returns the number of extra backend attempts so far.
 func (m *Metrics) Retried() uint64 { return m.retried.Load() }
 
-// Skipped returns the number of units satisfied by the checkpoint.
+// Skipped returns the number of units served from the cache.
 func (m *Metrics) Skipped() uint64 { return m.skipped.Load() }
 
 // observe records one backend request.
@@ -73,7 +73,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	obs.Gauge(w, "rfpsweep_units_total", "Units in the expanded sweep grid.", m.total.Load())
 	obs.Header(w, "rfpsweep_units_done_total", "counter", "Units completed, by how.")
 	obs.Sample(w, "rfpsweep_units_done_total", `how="run"`, m.done.Load())
-	obs.Sample(w, "rfpsweep_units_done_total", `how="checkpoint"`, m.skipped.Load())
+	obs.Sample(w, "rfpsweep_units_done_total", `how="cache"`, m.skipped.Load())
 	obs.Counter(w, "rfpsweep_units_failed_total", "Units that exhausted their retries.", m.failed.Load())
 	obs.Counter(w, "rfpsweep_unit_retries_total", "Extra backend attempts beyond each unit's first.", m.retried.Load())
 	obs.Counter(w, "rfpsim_check_violations_total", "Runtime invariant violations across check_diff units (docs/checking.md).", m.checkViolations.Load())

@@ -20,7 +20,7 @@ rfpsweep_units_total 0
 # HELP rfpsweep_units_done_total Units completed, by how.
 # TYPE rfpsweep_units_done_total counter
 rfpsweep_units_done_total{how="run"} 0
-rfpsweep_units_done_total{how="checkpoint"} 0
+rfpsweep_units_done_total{how="cache"} 0
 # HELP rfpsweep_units_failed_total Units that exhausted their retries.
 # TYPE rfpsweep_units_failed_total counter
 rfpsweep_units_failed_total 0

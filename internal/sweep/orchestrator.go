@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"rfpsim/internal/experiments"
+	"rfpsim/internal/fabric"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
 	"rfpsim/internal/service"
@@ -24,12 +26,12 @@ type Options struct {
 	// or a single unit. When there are fewer families than Parallel,
 	// Run splits the largest ones so that every slot has work.
 	Parallel int
-	// CheckpointPath, when set, journals every completed unit and (with
-	// Resume) skips units already recorded.
-	CheckpointPath string
-	// Resume replays the checkpoint before running; without it an
-	// existing checkpoint is appended to but not consulted.
-	Resume bool
+	// Cache, when set, is the sweep's persistent result store: Run serves
+	// every unit whose key it holds without dispatching it, and stores
+	// each completed unit under its key. Entries are rfpsimd /v1/sim
+	// bodies, so a sweep's cache directory and a daemon's -cache-dir are
+	// interchangeable.
+	Cache *fabric.DiskCache
 	// Progress, when set, receives a one-line progress/ETA report every
 	// ProgressEvery (default 5s) and once at the end.
 	Progress      io.Writer
@@ -61,17 +63,17 @@ type Summary struct {
 	// Units is the sweep grid in deterministic order.
 	Units []Unit
 	// Results maps unit key to result for every completed unit (including
-	// checkpoint-replayed ones).
+	// ones served from the cache).
 	Results map[string]*service.SimResponse
 	// Timings maps unit key to the per-stage wall-clock breakdown of
-	// units executed by THIS run — checkpoint-replayed units have none
+	// units executed by THIS run — units served from the cache have none
 	// (their cost was paid by an earlier run). Local-backend timings come
 	// straight from the runner; HTTP-backend timings are the executing
 	// daemon's, parsed from the response header. Timings are telemetry
-	// and deliberately kept out of Results, the checkpoint journal and
-	// the aggregate CSV, all of which are pinned deterministic.
+	// and deliberately kept out of Results, the cache and the aggregate
+	// CSV, all of which are pinned deterministic.
 	Timings map[string]*obs.Timings
-	// Skipped counts units satisfied by the checkpoint.
+	// Skipped counts units served from the cache.
 	Skipped int
 	// Failed lists units that exhausted their retries.
 	Failed []UnitError
@@ -80,14 +82,15 @@ type Summary struct {
 // Complete reports whether every unit has a result.
 func (s *Summary) Complete() bool { return len(s.Results) >= len(s.Units) }
 
-// Run executes the sweep: checkpoint replay, bounded-parallel dispatch to
-// the backend, journalling, and progress reporting. Cancelling ctx stops
-// dispatch and returns ctx's error; completed units are already journalled,
-// so a later Resume run picks up exactly the missing ones. Unit failures
-// do not abort the sweep — the rest of the grid still runs — but are
-// reported in the summary and as an error. A failed checkpoint write
-// does: nothing more is dispatched, and the error names the unit whose
-// result could not be journalled.
+// Run executes the sweep: serving cached units, bounded-parallel dispatch
+// of the rest to the backend, caching each result, and progress
+// reporting. Cancelling ctx stops dispatch and returns ctx's error;
+// completed units are already cached, so a later run over the same cache
+// picks up exactly the missing ones. Unit failures do not abort the
+// sweep — the rest of the grid still runs — but are reported in the
+// summary and as an error. A failed cache write does: nothing more is
+// dispatched, and the error names the unit whose result could not be
+// stored. So does a cached body that does not decode.
 func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Metrics) (*Summary, error) {
 	if m == nil {
 		m = &Metrics{}
@@ -99,38 +102,25 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 		Timings: make(map[string]*obs.Timings, len(units)),
 	}
 
-	if opts.Resume && opts.CheckpointPath != "" {
-		st, err := LoadCheckpoint(opts.CheckpointPath)
-		if err != nil {
-			return nil, err
-		}
+	pending := units
+	if opts.Cache != nil {
+		pending = make([]Unit, 0, len(units))
 		for _, u := range units {
-			if resp, ok := st.Results[u.Key]; ok {
-				sum.Results[u.Key] = resp
-				sum.Skipped++
+			body, ok := opts.Cache.Get(u.Key)
+			if !ok {
+				pending = append(pending, u)
+				continue
 			}
+			resp := new(service.SimResponse)
+			if err := json.Unmarshal(body, resp); err != nil {
+				return nil, fmt.Errorf("sweep: cached result of unit %s does not decode: %w", u.Label, err)
+			}
+			sum.Results[u.Key] = resp
+			sum.Skipped++
 		}
 		m.skipped.Store(uint64(sum.Skipped))
-		if opts.Progress != nil && (sum.Skipped > 0 || st.TruncatedTail) {
-			fmt.Fprintf(opts.Progress, "rfpsweep: checkpoint replayed %d/%d units (%d journal entries, %d duplicates, truncated tail: %t)\n",
-				sum.Skipped, len(units), st.Entries, st.Duplicates, st.TruncatedTail)
-		}
-	}
-
-	var journal *Journal
-	if opts.CheckpointPath != "" {
-		var err error
-		journal, err = OpenJournal(opts.CheckpointPath)
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
-
-	pending := make([]Unit, 0, len(units))
-	for _, u := range units {
-		if _, done := sum.Results[u.Key]; !done {
-			pending = append(pending, u)
+		if opts.Progress != nil && sum.Skipped > 0 {
+			fmt.Fprintf(opts.Progress, "rfpsweep: %d/%d units served from the cache\n", sum.Skipped, len(units))
 		}
 	}
 
@@ -170,12 +160,12 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 	}
 
 	var (
-		mu         sync.Mutex
-		journalErr error // first failed checkpoint write; dispatch stops
+		mu       sync.Mutex
+		cacheErr error // first failed cache write; dispatch stops
 	)
 	runUnit := func(ctx context.Context, u Unit) {
 		mu.Lock()
-		halted := journalErr != nil
+		halted := cacheErr != nil
 		mu.Unlock()
 		if halted || ctx.Err() != nil {
 			return // not dispatched: the unit stays pending
@@ -201,14 +191,18 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 			return
 		}
 		ulog.Debug("unit done", "ipc", resp.IPC, "timings", tim.String())
+		if opts.Cache != nil {
+			var body []byte
+			if body, err = resp.Body(); err == nil {
+				err = opts.Cache.Put(u.Key, body)
+			}
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		sum.Results[u.Key] = resp
 		sum.Timings[u.Key] = tim
-		if journal != nil && journalErr == nil {
-			if err := journal.Record(u, resp); err != nil {
-				journalErr = fmt.Errorf("sweep: journalling unit %s: %w", u.Label, err)
-			}
+		if err != nil && cacheErr == nil {
+			cacheErr = fmt.Errorf("sweep: caching unit %s: %w", u.Label, err)
 		}
 		m.done.Add(1)
 	}
@@ -228,8 +222,8 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 		progress(true)
 	}
 
-	if journalErr != nil {
-		return sum, journalErr
+	if cacheErr != nil {
+		return sum, cacheErr
 	}
 	if err := ctx.Err(); err != nil {
 		return sum, err
@@ -278,7 +272,7 @@ func (s *Summary) WriteTimingsCSV(w io.Writer) error {
 	for _, u := range s.Units {
 		tim, ok := s.Timings[u.Key]
 		if !ok {
-			continue // checkpoint-replayed or failed: no cost paid this run
+			continue // served from the cache or failed: no cost paid this run
 		}
 		for _, stage := range obs.Stages() {
 			row := []string{u.Label, stage,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rfpsim/internal/fabric"
 	"rfpsim/internal/service"
 )
 
@@ -45,11 +46,35 @@ func runToCSV(t *testing.T, sum *Summary) []byte {
 	return b.Bytes()
 }
 
-// TestCrashResumeJournal is the crash-tolerance contract: a journal with a
-// truncated final line and a duplicated unit replays to exactly the units
-// it fully recorded, -resume re-runs exactly the missing ones, and the
-// aggregate CSV matches a from-scratch run byte for byte.
-func TestCrashResumeJournal(t *testing.T) {
+// openCache opens a sweep result cache over dir with the default cap.
+func openCache(t *testing.T, dir string) *fabric.DiskCache {
+	t.Helper()
+	c, err := fabric.OpenDiskCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// cachedKeys returns the keys of units the cache over dir holds.
+func cachedKeys(t *testing.T, dir string, units []Unit) map[string]bool {
+	t.Helper()
+	c := openCache(t, dir)
+	held := map[string]bool{}
+	for _, u := range units {
+		if _, ok := c.Get(u.Key); ok {
+			held[u.Key] = true
+		}
+	}
+	return held
+}
+
+// TestResumeFromCache is the crash-tolerance contract: a cache left by a
+// killed sweep — some units stored, one entry rotted, a temp file from a
+// write cut short — serves exactly the intact entries, a rerun over it
+// runs exactly the missing units, and the aggregate CSV matches a
+// from-scratch run byte for byte.
+func TestResumeFromCache(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{
 		"name": "crash", "workloads": ["spec06_mcf", "spec06_hmmer"],
 		"base": {"rfp": true},
@@ -67,56 +92,46 @@ func TestCrashResumeJournal(t *testing.T) {
 		t.Fatalf("grid is %d units, want 6", len(units))
 	}
 
-	// From-scratch reference run (no checkpoint at all).
+	// From-scratch reference run (no cache at all).
 	ref, err := Run(context.Background(), units, LocalBackend{}, Options{Parallel: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCSV := runToCSV(t, ref)
 
-	// Doctor a journal: units 0..2 recorded, unit 1 duplicated, unit 3's
-	// line truncated mid-record (the kill -9 case).
+	// Units 0..2 cached; unit 2's entry then loses its second half, and
+	// a write of unit 3 was cut short before its rename.
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "sweep.ckpt")
-	var buf bytes.Buffer
-	writeLine := func(u Unit) []byte {
-		line, err := json.Marshal(checkpointEntry{Key: u.Key, Label: u.Label, Resp: ref.Results[u.Key]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(line, '\n')
-	}
-	for _, i := range []int{0, 1, 2, 1} {
-		buf.Write(writeLine(units[i]))
-	}
-	torn := writeLine(units[3])
-	buf.Write(torn[:len(torn)/2])
-	if err := os.WriteFile(ckpt, buf.Bytes(), 0o644); err != nil {
+	if _, err := Run(context.Background(), units[:3], LocalBackend{}, Options{Parallel: 2, Cache: openCache(t, dir)}, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	st, err := LoadCheckpoint(ckpt)
+	rotted := filepath.Join(dir, units[2].Key[:2], units[2].Key)
+	raw, err := os.ReadFile(rotted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries != 4 || st.Duplicates != 1 || !st.TruncatedTail || len(st.Results) != 3 {
-		t.Fatalf("checkpoint state = entries %d, dups %d, truncated %t, results %d; want 4/1/true/3",
-			st.Entries, st.Duplicates, st.TruncatedTail, len(st.Results))
+	if err := os.WriteFile(rotted, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, units[3].Key[:2])
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, "tmp-1"), []byte("rfpfab1 999 "), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// Resume must re-run exactly units 3, 4, 5 — once each.
+	// The rerun must run exactly units 2..5, once each.
 	rec := &recordingBackend{inner: LocalBackend{}}
 	m := &Metrics{}
-	sum, err := Run(context.Background(), units, rec, Options{
-		Parallel: 2, CheckpointPath: ckpt, Resume: true,
-	}, m)
+	sum, err := Run(context.Background(), units, rec, Options{Parallel: 2, Cache: openCache(t, dir)}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.Complete() || sum.Skipped != 3 {
-		t.Fatalf("resume: complete %t, skipped %d; want true/3", sum.Complete(), sum.Skipped)
+	if !sum.Complete() || sum.Skipped != 2 {
+		t.Fatalf("resume: complete %t, skipped %d; want true/2", sum.Complete(), sum.Skipped)
 	}
-	wantRan := map[string]int{units[3].Key: 1, units[4].Key: 1, units[5].Key: 1}
+	wantRan := map[string]int{units[2].Key: 1, units[3].Key: 1, units[4].Key: 1, units[5].Key: 1}
 	rec.mu.Lock()
 	for k, n := range rec.ran {
 		if wantRan[k] != n {
@@ -129,52 +144,50 @@ func TestCrashResumeJournal(t *testing.T) {
 		}
 	}
 	rec.mu.Unlock()
-	if m.Done() != 3 || m.Skipped() != 3 {
-		t.Errorf("metrics done=%d skipped=%d, want 3/3", m.Done(), m.Skipped())
+	if m.Done() != 4 || m.Skipped() != 2 {
+		t.Errorf("metrics done=%d skipped=%d, want 4/2", m.Done(), m.Skipped())
 	}
 
 	if got := runToCSV(t, sum); !bytes.Equal(got, wantCSV) {
 		t.Errorf("resumed CSV differs from from-scratch CSV:\n--- resumed\n%s\n--- scratch\n%s", got, wantCSV)
 	}
 
-	// A second resume is a no-op: everything satisfied by the checkpoint.
+	// A second rerun is a no-op: everything served from the cache.
 	rec2 := &recordingBackend{inner: LocalBackend{}}
-	sum2, err := Run(context.Background(), units, rec2, Options{
-		Parallel: 2, CheckpointPath: ckpt, Resume: true,
-	}, nil)
+	sum2, err := Run(context.Background(), units, rec2, Options{Parallel: 2, Cache: openCache(t, dir)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec2.ran) != 0 || sum2.Skipped != 6 {
-		t.Errorf("second resume ran %d units (skipped %d), want 0 (6)", len(rec2.ran), sum2.Skipped)
+		t.Errorf("second rerun ran %d units (skipped %d), want 0 (6)", len(rec2.ran), sum2.Skipped)
 	}
 	if got := runToCSV(t, sum2); !bytes.Equal(got, wantCSV) {
-		t.Error("no-op resume CSV differs")
+		t.Error("no-op rerun CSV differs")
 	}
 }
 
-// TestInteriorCorruptionFailsLoudly: a mangled line that is NOT the tail
-// is real corruption, not a crash artifact, and must not be skipped.
-func TestInteriorCorruptionFailsLoudly(t *testing.T) {
+// TestUndecodableCachedResultFailsLoudly: an intact cache entry whose body
+// is not a SimResponse is not a result, and must neither be skipped over
+// nor silently re-run: the sweep fails before dispatching anything and
+// names the unit.
+func TestUndecodableCachedResultFailsLoudly(t *testing.T) {
 	units := testUnits(t)
-	ckpt := filepath.Join(t.TempDir(), "bad.ckpt")
-	good, err := json.Marshal(checkpointEntry{Key: units[0].Key, Label: units[0].Label, Resp: &service.SimResponse{}})
-	if err != nil {
+	c := openCache(t, t.TempDir())
+	if err := c.Put(units[1].Key, []byte("{\"cycles\": \"mangl\n")); err != nil {
 		t.Fatal(err)
 	}
-	content := append([]byte("{\"key\": \"mangl"), '\n')
-	content = append(content, good...)
-	content = append(content, '\n')
-	if err := os.WriteFile(ckpt, content, 0o644); err != nil {
-		t.Fatal(err)
+	rec := &recordingBackend{inner: LocalBackend{}}
+	_, err := Run(context.Background(), units, rec, Options{Parallel: 2, Cache: c}, nil)
+	if err == nil || !strings.Contains(err.Error(), units[1].Label) {
+		t.Fatalf("err = %v, want one naming %s", err, units[1].Label)
 	}
-	if _, err := LoadCheckpoint(ckpt); err == nil {
-		t.Fatal("interior corruption loaded without error")
+	if len(rec.ran) != 0 {
+		t.Errorf("backend ran %d units despite the undecodable entry", len(rec.ran))
 	}
 }
 
-// nanBackend answers every unit with an IPC the checkpoint journal cannot
-// encode (json.Marshal rejects NaN), and counts its calls.
+// nanBackend answers every unit with an IPC the cache cannot store
+// (json.Marshal rejects NaN), and counts its calls.
 type nanBackend struct{ calls atomic.Int32 }
 
 func (b *nanBackend) Name() string { return "nan" }
@@ -183,25 +196,24 @@ func (b *nanBackend) Run(context.Context, Unit) (*service.SimResponse, error) {
 	return &service.SimResponse{IPC: math.NaN()}, nil
 }
 
-// TestJournalFailureStopsDispatch: once a checkpoint write fails, the
-// sweep dispatches nothing more — at most the units already in flight
-// finish — and the error wraps the journal error and names the unit.
-func TestJournalFailureStopsDispatch(t *testing.T) {
+// TestCacheWriteFailureStopsDispatch: once a cache write fails, the sweep
+// dispatches nothing more — at most the units already in flight finish —
+// and the error wraps the write's error and names the unit.
+func TestCacheWriteFailureStopsDispatch(t *testing.T) {
 	units := testUnits(t)
 	for _, parallel := range []int{1, 3} {
 		be := &nanBackend{}
-		ckpt := filepath.Join(t.TempDir(), "nan.ckpt")
-		_, err := Run(context.Background(), units, be, Options{Parallel: parallel, CheckpointPath: ckpt}, nil)
+		_, err := Run(context.Background(), units, be, Options{Parallel: parallel, Cache: openCache(t, t.TempDir())}, nil)
 		if err == nil {
 			t.Fatalf("parallel %d: sweep with an unencodable result succeeded", parallel)
 		}
 		if n := int(be.calls.Load()); n > 1+parallel {
-			t.Errorf("parallel %d: backend ran %d of %d units after the journal failed, want at most %d",
+			t.Errorf("parallel %d: backend ran %d of %d units after the cache write failed, want at most %d",
 				parallel, n, len(units), 1+parallel)
 		}
 		var uve *json.UnsupportedValueError
 		if !errors.As(err, &uve) {
-			t.Errorf("parallel %d: error %v does not wrap the journal's json error", parallel, err)
+			t.Errorf("parallel %d: error %v does not wrap the json error", parallel, err)
 		}
 		named := false
 		for _, u := range units[:1+parallel] {
@@ -216,15 +228,15 @@ func TestJournalFailureStopsDispatch(t *testing.T) {
 // TestSweepAcceptance is the tentpole's end-to-end scenario: a 24-unit
 // sweep against two live rfpsimd instances, one of which rejects with 429
 // backpressure for part of the run; the orchestrator is killed roughly
-// halfway and resumed; the final CSV is byte-identical to the same sweep
-// run locally in one uninterrupted shot.
+// halfway and rerun over the same cache; the final CSV is byte-identical
+// to the same sweep run locally in one uninterrupted shot.
 func TestSweepAcceptance(t *testing.T) {
 	units := testUnits(t)
 	if len(units) < 24 {
 		t.Fatalf("acceptance sweep needs >= 24 units, have %d", len(units))
 	}
 
-	// Reference: the whole grid in one local shot, no checkpoint.
+	// Reference: the whole grid in one local shot, no cache.
 	ref, err := Run(context.Background(), units, LocalBackend{}, Options{Parallel: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +260,7 @@ func TestSweepAcceptance(t *testing.T) {
 	tsB := httptest.NewServer(flaky)
 	defer tsB.Close()
 
-	ckpt := filepath.Join(t.TempDir(), "accept.ckpt")
+	dir := t.TempDir()
 	newBackend := func(m *Metrics) Backend {
 		be, err := NewHTTPBackend([]string{tsA.URL, tsB.URL}, HTTPBackendOptions{
 			Metrics: m, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond,
@@ -270,50 +282,45 @@ func TestSweepAcceptance(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err = Run(ctx, units, newBackend(m1), Options{Parallel: 4, CheckpointPath: ckpt}, m1)
+	_, err = Run(ctx, units, newBackend(m1), Options{Parallel: 4, Cache: openCache(t, dir)}, m1)
 	<-killer
 	if err == nil {
 		t.Fatal("killed run reported success; cancel came too late to matter")
 	}
 
-	st, err := LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
+	cached := cachedKeys(t, dir, units)
+	if len(cached) == 0 || len(cached) >= len(units) {
+		t.Fatalf("after the kill the cache has %d/%d units; want a partial sweep", len(cached), len(units))
 	}
-	if len(st.Results) == 0 || len(st.Results) >= len(units) {
-		t.Fatalf("after the kill the journal has %d/%d units; want a partial sweep", len(st.Results), len(units))
-	}
-	t.Logf("killed after %d/%d units journalled, %d retries, %d rejects consumed",
-		len(st.Results), len(units), m1.Retried(), rejects.Load())
+	t.Logf("killed after %d/%d units cached, %d retries, %d rejects consumed",
+		len(cached), len(units), m1.Retried(), rejects.Load())
 
-	// Phase 2: resume against the same fleet; only missing units run.
+	// Phase 2: rerun against the same fleet; only missing units run.
 	m2 := &Metrics{}
 	rec := &recordingBackend{inner: newBackend(m2)}
-	sum, err := Run(context.Background(), units, rec, Options{
-		Parallel: 4, CheckpointPath: ckpt, Resume: true,
-	}, m2)
+	sum, err := Run(context.Background(), units, rec, Options{Parallel: 4, Cache: openCache(t, dir)}, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.Complete() {
 		t.Fatalf("resumed sweep incomplete: %d/%d", len(sum.Results), len(units))
 	}
-	if sum.Skipped != len(st.Results) {
-		t.Errorf("resume skipped %d units, journal held %d", sum.Skipped, len(st.Results))
+	if sum.Skipped != len(cached) {
+		t.Errorf("rerun skipped %d units, cache held %d", sum.Skipped, len(cached))
 	}
 	for k, n := range rec.ran {
 		if n != 1 {
-			t.Errorf("unit %s ran %d times on resume", k[:12], n)
+			t.Errorf("unit %s ran %d times on the rerun", k[:12], n)
 		}
-		if _, done := st.Results[k]; done {
-			t.Errorf("unit %s was journalled but re-run", k[:12])
+		if cached[k] {
+			t.Errorf("unit %s was cached but re-run", k[:12])
 		}
 	}
 	if got := int(m2.Done()) + sum.Skipped; got != len(units) {
 		t.Errorf("done %d + skipped %d != %d units", m2.Done(), sum.Skipped, len(units))
 	}
 
-	// The backpressured, killed, resumed, fleet-executed sweep must emit
+	// The backpressured, killed, rerun, fleet-executed sweep must emit
 	// exactly the bytes of the one-shot local run.
 	if got := runToCSV(t, sum); !bytes.Equal(got, wantCSV) {
 		t.Errorf("distributed+resumed CSV differs from one-shot local CSV:\n--- distributed\n%s\n--- local\n%s", got, wantCSV)

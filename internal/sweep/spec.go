@@ -3,9 +3,10 @@
 // knobs crossed with workloads) into deterministic simulation units keyed
 // by the same content address the rfpsimd result cache uses, executes them
 // through a pluggable backend (in-process runner or a load-balanced fleet
-// of rfpsimd endpoints), journals every completed unit to an append-only
-// JSONL checkpoint so a crashed sweep resumes where it stopped, and
-// aggregates the results into the CSV schema cmd/experiments emits.
+// of rfpsimd endpoints), optionally stores every completed unit in the
+// rfpsimd disk result cache (internal/fabric) so a crashed sweep rerun
+// over the same directory resumes where it stopped, and aggregates the
+// results into the CSV schema cmd/experiments emits.
 //
 // Observability goes through internal/obs: each unit gets a run ID that
 // the HTTP backend forwards to the executing daemon (so one ID follows a
@@ -81,7 +82,7 @@ type Axis struct {
 
 // Unit is one deterministic grid point: a fully resolved simulation
 // request plus the rfpsimd content address that identifies it in the
-// checkpoint journal, the daemon result cache and the aggregate CSV.
+// result cache (the sweep's and the daemon's alike) and the aggregate CSV.
 type Unit struct {
 	// Label is the human-readable identity, "<sweep>/<workload>/<knobs>";
 	// it is the CSV "experiment" column.
