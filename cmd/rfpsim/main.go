@@ -40,8 +40,11 @@
 //
 // -v turns on debug logging and prints a per-stage wall-time breakdown
 // (fast-forward / warmup / measure / aggregate, plus profile under
-// -sample) to stderr after the run; -cpuprofile captures a pprof CPU
-// profile of the simulation. See docs/observability.md.
+// -sample) to stderr after the run; -cpuprofile writes a pprof CPU
+// profile of the simulation, or exits 1 before simulating when it cannot
+// create the file. Each run mints a run ID: the debug log lines carry
+// it, and the profile's samples carry it with the workload, config and
+// stage as pprof labels (go tool pprof -tags). See docs/observability.md.
 package main
 
 import (
@@ -51,6 +54,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 
 	"rfpsim/internal/check"
@@ -160,21 +164,30 @@ func main() {
 		}
 	}
 
+	// The run ID puts run_id on the debug log lines and, with the job's
+	// workload, config and stage, on the CPU profile's samples.
+	ctx = obs.WithRunID(ctx, obs.NewRunID())
 	var tim *obs.Timings
 	if *verbose {
 		ctx, tim = obs.WithTimings(ctx)
 	}
-	run := func() (sample.Result, error) { return sample.RunResult(ctx, job) }
-	var res sample.Result
-	var runErr error
+	var profFile *os.File
 	if *cpuProfile != "" {
-		_, runErr = obs.CaptureCPUProfile(*cpuProfile, func() error {
-			var e error
-			res, e = run()
-			return e
-		})
-	} else {
-		res, runErr = run()
+		if profFile, err = os.Create(*cpuProfile); err == nil {
+			err = pprof.StartCPUProfile(profFile)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	res, runErr := sample.RunResult(ctx, job)
+	if profFile != nil {
+		pprof.StopCPUProfile()
+		if err := profFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "run failed: %v\n", runErr)

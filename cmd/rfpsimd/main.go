@@ -3,10 +3,11 @@
 // backpressure, caches results by content address, and exposes
 // Prometheus-style metrics. Every request gets a run ID (echoed in the
 // X-Rfpsimd-Run-Id response header) that correlates the response with all
-// structured log lines the job produced; -pprof mounts the net/http/pprof
-// endpoints and -profile-dir captures a per-job CPU profile. See
-// docs/service.md for the API and docs/observability.md for the metrics,
-// log fields and profiling endpoints.
+// structured log lines the job produced and labels the job's samples in a
+// CPU profile; -pprof mounts the net/http/pprof endpoints, and
+// `go tool pprof -tagfocus run_id=<id>` cuts one job out of a daemon
+// profile. See docs/service.md for the API and docs/observability.md for
+// the metrics, log fields, profile labels and profiling endpoints.
 //
 // Usage:
 //
@@ -14,7 +15,6 @@
 //	        [-cache N] [-cache-bytes N] [-cache-dir DIR] [-cache-max-bytes N]
 //	        [-timeout 5m] [-maxuops N] [-drain 30s] [-http-timeout 2m]
 //	        [-log-format text|json] [-log-level info] [-pprof]
-//	        [-profile-dir DIR]
 //
 // -cache-dir enables the persistent disk result cache, which survives
 // restarts. See docs/fabric.md.
@@ -43,18 +43,17 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
-		queue      = flag.Int("queue", 0, "queued-job bound before 429s (0 = 4x workers)")
-		cache      = flag.Int("cache", 0, "result cache entries (0 = 4096)")
-		timeout    = flag.Duration("timeout", 10*time.Minute, "default per-job timeout (0 = none)")
-		maxUops    = flag.Uint64("maxuops", 0, "per-job uop ceiling, (warmup+measure)*seeds (0 = 50M)")
-		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown deadline on SIGTERM/SIGINT")
-		httpTO     = flag.Duration("http-timeout", 2*time.Minute, "read/idle timeout per HTTP connection (slowloris guard)")
-		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes internals; keep off on untrusted networks)")
-		profileDir = flag.String("profile-dir", "", "capture a CPU profile per executed job into DIR/job-<runid>.pprof")
+		addr      = flag.String("addr", ":8080", "listen address")
+		workers   = flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
+		queue     = flag.Int("queue", 0, "queued-job bound before 429s (0 = 4x workers)")
+		cache     = flag.Int("cache", 0, "result cache entries (0 = 4096)")
+		timeout   = flag.Duration("timeout", 10*time.Minute, "default per-job timeout (0 = none)")
+		maxUops   = flag.Uint64("maxuops", 0, "per-job uop ceiling, (warmup+measure)*seeds (0 = 50M)")
+		drain     = flag.Duration("drain", 30*time.Second, "graceful shutdown deadline on SIGTERM/SIGINT")
+		httpTO    = flag.Duration("http-timeout", 2*time.Minute, "read/idle timeout per HTTP connection (slowloris guard)")
+		logFormat = flag.String("log-format", "text", "structured log format: text or json")
+		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
+		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes internals; keep off on untrusted networks)")
 
 		cacheBytes  = flag.Int64("cache-bytes", 0, "in-memory result cache byte cap (0 = 256 MiB)")
 		tenantQueue = flag.Int("tenant-queue", 0, "per-tenant queued-job bound before 429s (0 = -queue)")
@@ -69,12 +68,6 @@ func main() {
 		os.Exit(2)
 	}
 	slog.SetDefault(logger)
-	if *profileDir != "" {
-		if err := os.MkdirAll(*profileDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rfpsimd: -profile-dir: %v\n", err)
-			os.Exit(2)
-		}
-	}
 
 	svc, err := service.New(service.Options{
 		Workers:          *workers,
@@ -85,7 +78,6 @@ func main() {
 		MaxJobUops:       *maxUops,
 		DefaultTimeout:   *timeout,
 		Logger:           logger,
-		CPUProfileDir:    *profileDir,
 		Fabric:           fabric.Options{Dir: *cacheDir, MaxBytes: *cacheMaxB},
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -46,9 +45,4 @@ func (c *DiskCache) Snapshot() Snapshot {
 		DiskHits:    c.hits.Load(),
 		DiskMisses:  c.misses.Load(),
 	}
-}
-
-// String describes the cache for startup logs and /healthz.
-func (c *DiskCache) String() string {
-	return fmt.Sprintf("disk(dir=%s cap=%dB)", c.dir, c.maxBytes)
 }

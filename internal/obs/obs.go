@@ -4,7 +4,7 @@
 // process boundaries with one run ID, one metrics registry and one
 // per-stage timing breakdown.
 //
-// It provides four things, all carried through context.Context so the
+// It provides five things, all carried through context.Context so the
 // core pipeline stays free of observability imports except at its seams:
 //
 //   - run IDs (NewRunID / WithRunID / RunID): generated at the rfpsimd
@@ -17,8 +17,12 @@
 //     daemon and the sweep orchestrator instead of per-package emitters;
 //   - per-stage timings (Timings / WithTimings / ContextTimings): the
 //     profile / fastforward / warmup / measure / aggregate wall-clock
-//     breakdown internal/runner and internal/sample fill in, surfaced
-//     in rfpsimd response headers, sweep timing CSVs and rfpsim -v.
+//     breakdown internal/runner and internal/sample fill in through
+//     BeginStage … End, surfaced in rfpsimd response headers, sweep
+//     timing CSVs and rfpsim -v;
+//   - pprof labels (LabelJob / RestoreLabels, and stage from
+//     BeginStage): under a run ID one CPU profile of the daemon
+//     (RegisterPprof) splits by job and stage.
 //
 // See docs/observability.md for the full metric, label and log-field
 // inventory and docs/architecture.md for where this layer sits.

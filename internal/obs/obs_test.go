@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"maps"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -169,5 +172,83 @@ func TestRegistryOrder(t *testing.T) {
 	r.WritePrometheus(&buf)
 	if buf.String() != "first\nsecond\n" {
 		t.Errorf("registry output %q", buf.String())
+	}
+}
+
+// goroutineLabels returns the calling goroutine's pprof labels, read from
+// the goroutine profile: the record whose stack runs through this
+// function.
+func goroutineLabels(t *testing.T) map[string]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, ".goroutineLabels+") {
+			continue
+		}
+		labels := map[string]string{}
+		if _, after, ok := strings.Cut(rec, "\n# labels: "); ok {
+			line, _, _ := strings.Cut(after, "\n")
+			if err := json.Unmarshal([]byte(line), &labels); err != nil {
+				t.Fatalf("labels line %q: %v", line, err)
+			}
+		}
+		return labels
+	}
+	t.Fatal("no goroutine in the profile runs goroutineLabels")
+	return nil
+}
+
+// TestStageLabels: under a run ID a stage window carries stage=<name> on
+// top of the job's labels, End bills it and gives the job's labels back,
+// and RestoreLabels gives the caller's back.
+func TestStageLabels(t *testing.T) {
+	caller, tim := WithTimings(WithRunID(context.Background(), "r1"))
+	job := LabelJob(caller, "spec06_mcf", "baseline")
+	jobLabels := map[string]string{"run_id": "r1", "workload": "spec06_mcf", "config": "baseline"}
+	if got := goroutineLabels(t); !maps.Equal(got, jobLabels) {
+		t.Fatalf("after LabelJob: labels %v, want %v", got, jobLabels)
+	}
+	stage := BeginStage(job, StageWarmup)
+	want := maps.Clone(jobLabels)
+	want["stage"] = StageWarmup
+	if got := goroutineLabels(t); !maps.Equal(got, want) {
+		t.Fatalf("in the stage: labels %v, want %v", got, want)
+	}
+	stage.End()
+	if got := goroutineLabels(t); !maps.Equal(got, jobLabels) {
+		t.Fatalf("after End: labels %v, want %v", got, jobLabels)
+	}
+	if tim.Stage(StageWarmup) <= 0 {
+		t.Error("End billed nothing to the warmup stage")
+	}
+	RestoreLabels(caller)
+	if got := goroutineLabels(t); len(got) != 0 {
+		t.Fatalf("after RestoreLabels: labels %v, want none", got)
+	}
+}
+
+// TestStageWithoutRunIDIsFree: without a run ID a job and its stages set
+// no labels and allocate nothing, with or without a timings collector.
+func TestStageWithoutRunIDIsFree(t *testing.T) {
+	timed, _ := WithTimings(context.Background())
+	for _, ctx := range []context.Context{context.Background(), timed} {
+		allocs := testing.AllocsPerRun(100, func() {
+			job := LabelJob(ctx, "spec06_mcf", "baseline")
+			stage := BeginStage(job, StageMeasure)
+			stage.End()
+			RestoreLabels(ctx)
+		})
+		if allocs != 0 {
+			t.Errorf("a stage without a run ID allocates %v times", allocs)
+		}
+		job := LabelJob(ctx, "spec06_mcf", "baseline")
+		stage := BeginStage(job, StageMeasure)
+		if got := goroutineLabels(t); len(got) != 0 {
+			t.Errorf("a stage without a run ID set labels %v", got)
+		}
+		stage.End()
 	}
 }

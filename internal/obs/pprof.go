@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"log/slog"
+	"context"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	runtimepprof "runtime/pprof"
-	"sync"
 )
 
 // RegisterPprof mounts the net/http/pprof handlers under /debug/pprof/ on
@@ -22,37 +20,32 @@ func RegisterPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// cpuProfileMu serializes CPU profile captures: the Go runtime supports
-// one CPU profile at a time process-wide.
-var cpuProfileMu sync.Mutex
-
-// CaptureCPUProfile runs fn with a CPU profile written to path. The
-// runtime allows only one CPU profile at a time, so when another capture
-// is already running fn executes unprofiled and captured is false — a
-// busy worker pool degrades to sampling some jobs instead of failing
-// them. The returned error is fn's own; profile plumbing failures are
-// logged and fn still runs.
-func CaptureCPUProfile(path string, fn func() error) (captured bool, err error) {
-	if cpuProfileMu.TryLock() {
-		f, ferr := os.Create(path)
-		if ferr != nil {
-			cpuProfileMu.Unlock()
-			slog.Default().Warn("cpu profile skipped", "path", path, "err", ferr)
-			return false, fn()
-		}
-		if perr := runtimepprof.StartCPUProfile(f); perr != nil {
-			f.Close()
-			os.Remove(path)
-			cpuProfileMu.Unlock()
-			slog.Default().Warn("cpu profile skipped", "path", path, "err", perr)
-			return false, fn()
-		}
-		defer func() {
-			runtimepprof.StopCPUProfile()
-			f.Close()
-			cpuProfileMu.Unlock()
-		}()
-		return true, fn()
+// LabelJob labels the calling goroutine for one job and returns ctx
+// carrying the same pprof labels, which the job's stages take: run_id
+// (ctx's run ID), workload and, unless config is "", config. A CPU
+// profile of a busy daemon then splits by job (go tool pprof -tagfocus
+// run_id=<id>), and BeginStage adds the stage. Without a run ID it
+// returns ctx and sets nothing, so a batch run pays one context lookup
+// and no allocation. The caller restores its own labels with
+// RestoreLabels(ctx) when the job returns.
+func LabelJob(ctx context.Context, workload, config string) context.Context {
+	id := RunID(ctx)
+	if id == "" {
+		return ctx
 	}
-	return false, fn()
+	kv := []string{"run_id", id, "workload", workload, "config", config}
+	if config == "" {
+		kv = kv[:4]
+	}
+	ctx = runtimepprof.WithLabels(ctx, runtimepprof.Labels(kv...))
+	runtimepprof.SetGoroutineLabels(ctx)
+	return ctx
+}
+
+// RestoreLabels sets the labels ctx carries on the calling goroutine,
+// when ctx carries a run ID: a job's caller gets its own labels back.
+func RestoreLabels(ctx context.Context) {
+	if RunID(ctx) != "" {
+		runtimepprof.SetGoroutineLabels(ctx)
+	}
 }

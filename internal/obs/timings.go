@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -59,6 +60,41 @@ func WithTimings(ctx context.Context) (context.Context, *Timings) {
 func ContextTimings(ctx context.Context) *Timings {
 	t, _ := ctx.Value(ctxKeyTimings).(*Timings)
 	return t
+}
+
+// Stage is one open window of a job stage. BeginStage opens it and End
+// bills its wall time to the context's timings collector; a stage that
+// fails is left open and so not billed. When the context carries a run
+// ID, the window also carries the pprof label stage=<name> on top of the
+// job's labels (LabelJob), so a CPU profile splits by stage.
+type Stage struct {
+	tim   *Timings
+	name  string
+	begin time.Time
+	job   context.Context // the labels End restores; nil without a run ID
+}
+
+// BeginStage opens the named stage. Without a run ID it sets no label
+// and allocates nothing.
+func BeginStage(ctx context.Context, name string) Stage {
+	s := Stage{tim: ContextTimings(ctx), name: name}
+	if RunID(ctx) != "" {
+		s.job = ctx
+		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("stage", name)))
+	}
+	s.begin = time.Now()
+	return s
+}
+
+// End closes the stage: it bills the stage and gives the goroutine back
+// the labels of the context BeginStage was given.
+func (s Stage) End() {
+	if s.tim != nil {
+		s.tim.Observe(s.name, time.Since(s.begin))
+	}
+	if s.job != nil {
+		pprof.SetGoroutineLabels(s.job)
+	}
 }
 
 func (t *Timings) cell(stage string) *atomic.Int64 {

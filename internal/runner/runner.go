@@ -8,7 +8,8 @@
 // Observability rides on the context (internal/obs): when the caller
 // attached a timings collector the runner bills each stage's wall time
 // to it (fastforward / warmup / measure / aggregate), and per-replica
-// debug logs carry the caller's run ID.
+// debug logs carry the caller's run ID. Under a run ID a job also
+// carries pprof labels, so a CPU profile splits by job and stage.
 package runner
 
 import (
@@ -18,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/core"
@@ -41,25 +41,20 @@ const SeedStride = 0x9E3779B97F4A7C15
 // Run uses it for every replica, and sampled replay (internal/sample) for
 // every simulation point. An error names the stage that failed.
 func Measure(ctx context.Context, c *core.Core, job Job) (*stats.Sim, error) {
-	tim := obs.ContextTimings(ctx)
-	begin := time.Now()
+	stage := obs.BeginStage(ctx, obs.StageWarmup)
 	if err := c.Warmup(ctx, job.WarmupUops); err != nil {
 		return nil, fmt.Errorf("warmup: %w", err)
 	}
-	if tim != nil {
-		tim.Observe(obs.StageWarmup, time.Since(begin))
-	}
+	stage.End()
 	if job.AfterWarmup != nil {
 		job.AfterWarmup(c)
 	}
-	begin = time.Now()
+	stage = obs.BeginStage(ctx, obs.StageMeasure)
 	st, err := c.Run(ctx, job.MeasureUops)
 	if err != nil {
 		return nil, fmt.Errorf("measure: %w", err)
 	}
-	if tim != nil {
-		tim.Observe(obs.StageMeasure, time.Since(begin))
-	}
+	stage.End()
 	return st, nil
 }
 
@@ -187,12 +182,15 @@ func (j Job) Key() string {
 // collector, each stage's wall time (fastforward / warmup / measure /
 // aggregate) is added to it, and per-replica completions are logged at
 // debug level through obs.Logger, carrying whatever run ID the caller
-// minted at its API boundary.
+// minted at its API boundary. Under a run ID the job runs with the pprof
+// labels run_id, workload and config (obs.LabelJob), and the calling
+// goroutine gets its own labels back on return.
 //
 // Every error names the job once, as "runner: <workload> on <config>:",
 // so callers wrap it without naming the job again.
 func Run(ctx context.Context, job Job) (*stats.Sim, error) {
-	st, err := run(ctx, job)
+	defer obs.RestoreLabels(ctx)
+	st, err := run(obs.LabelJob(ctx, job.Spec.Name, job.Config.Name), job)
 	if err != nil {
 		return nil, fmt.Errorf("runner: %s on %s: %w", job.Spec.Name, job.Config.Name, err)
 	}
@@ -215,12 +213,6 @@ func run(ctx context.Context, job Job) (*stats.Sim, error) {
 	if job.NewGen != nil && job.seeds() > 1 {
 		return nil, errors.New("a generator override supports a single seed only")
 	}
-	tim := obs.ContextTimings(ctx)
-	observe := func(stage string, since time.Time) {
-		if tim != nil {
-			tim.Observe(stage, time.Since(since))
-		}
-	}
 	total := &stats.Sim{}
 	for s := 0; s < job.seeds(); s++ {
 		replica := job.Spec
@@ -231,19 +223,19 @@ func run(ctx context.Context, job Job) (*stats.Sim, error) {
 		} else {
 			gen = replica.New()
 		}
-		begin := time.Now()
+		stage := obs.BeginStage(ctx, obs.StageFastForward)
 		c := core.New(job.Config, gen)
 		if !job.ColdCaches {
 			c.WarmCaches()
 		}
-		observe(obs.StageFastForward, begin)
+		stage.End()
 		st, err := Measure(ctx, c, job)
 		if err != nil {
 			return nil, fmt.Errorf("seed %d %w", s, err)
 		}
-		begin = time.Now()
+		stage = obs.BeginStage(ctx, obs.StageAggregate)
 		stats.Accumulate(total, st)
-		observe(obs.StageAggregate, begin)
+		stage.End()
 		obs.Logger(ctx).Debug("replica complete",
 			"workload", job.Spec.Name, "config", job.Config.Name,
 			"seed_index", s, "cycles", st.Cycles, "uops", st.Instructions)

@@ -162,9 +162,9 @@ func TestFamilyMemberFailsAlone(t *testing.T) {
 }
 
 // TestFamilySharedFailures: a failure in a stage the family shares
-// fails every member with the same error — a stream too short to
-// profile, a cancelled context, and a job that does not belong to the
-// family.
+// fails every member with the same cause, each error naming its own
+// member — a stream too short to profile, a cancelled context, and a job
+// that does not belong to the family.
 func TestFamilySharedFailures(t *testing.T) {
 	rfp := config.Baseline().WithRFP()
 	cfgs := prefetchClpGrid(rfp, "stream")
@@ -175,8 +175,8 @@ func TestFamilySharedFailures(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("member %d: err = %v, want %q", i, err, want)
 			}
-			if err.Error() != errs[0].Error() {
-				t.Fatalf("members fail with different errors: %v and %v", errs[0], err)
+			if errors.Unwrap(err).Error() != errors.Unwrap(errs[0]).Error() {
+				t.Fatalf("members fail with different causes: %v and %v", errs[0], err)
 			}
 		}
 	}

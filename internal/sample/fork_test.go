@@ -134,15 +134,7 @@ var forkTestSampling = runner.Sampling{IntervalUops: forkTestInterval, MaxK: Def
 // plannedPoints profiles and clusters a job exactly as RunResult does.
 func plannedPoints(t *testing.T, job runner.Job, sp runner.Sampling) []Point {
 	t.Helper()
-	var (
-		p   *Profile
-		err error
-	)
-	if job.NewGen != nil {
-		p, err = ProfileGenerator(context.Background(), job.NewGen(), job.Spec.Name, job.WarmupUops, job.MeasureUops, sp.IntervalUops)
-	} else {
-		p, err = ProfileSpec(context.Background(), job.Spec, job.WarmupUops, job.MeasureUops, sp.IntervalUops)
-	}
+	p, err := ProfileGenerator(context.Background(), newGen(job), job.Spec.Name, job.WarmupUops, job.MeasureUops, sp.IntervalUops)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 
 	"rfpsim/internal/isa"
 	"rfpsim/internal/prng"
-	"rfpsim/internal/trace"
 )
 
 // vectorDims is the dimensionality basic-block vectors are randomly
@@ -116,15 +115,16 @@ func (a *bbvAccum) finish() [vectorDims]float64 {
 // into intervals of interval uops each and collects one basic-block
 // vector per full interval. A trailing remainder shorter than one
 // interval is dropped from the profile (and therefore from the sampled
-// estimate). The pass consumes gen.
+// estimate). The pass consumes gen. Its errors name the step that
+// failed, not the workload: the caller names the job.
 func ProfileGenerator(ctx context.Context, gen isa.Generator, name string, skip, measure, interval uint64) (*Profile, error) {
 	if interval == 0 {
-		return nil, fmt.Errorf("sample: interval length is 0")
+		return nil, fmt.Errorf("interval length is 0")
 	}
 	if measure < interval {
-		return nil, fmt.Errorf("sample: measured window (%d uops) is shorter than one interval (%d uops)", measure, interval)
+		return nil, fmt.Errorf("measured window (%d uops) is shorter than one interval (%d uops)", measure, interval)
 	}
-	if err := drain(ctx, gen, name, skip); err != nil {
+	if err := drain(ctx, gen, skip); err != nil {
 		return nil, err
 	}
 	n := int(measure / interval)
@@ -136,12 +136,12 @@ func ProfileGenerator(ctx context.Context, gen isa.Generator, name string, skip,
 	var op isa.MicroOp
 	var acc bbvAccum
 	for i := 0; i < n; i++ {
-		if err := ctxErr(ctx, name, "profile"); err != nil {
+		if err := ctxErr(ctx, "profile"); err != nil {
 			return nil, err
 		}
 		for u := uint64(0); u < interval; u++ {
 			if !gen.Next(&op) {
-				return nil, fmt.Errorf("sample: %s ended after %d of %d profiled intervals", name, i, n)
+				return nil, fmt.Errorf("stream ended after %d of %d profiled intervals", i, n)
 			}
 			acc.note(&op)
 		}
@@ -151,35 +151,27 @@ func ProfileGenerator(ctx context.Context, gen isa.Generator, name string, skip,
 	return p, nil
 }
 
-// ProfileSpec profiles a catalog workload: a fresh generator is
-// instantiated from the spec, so the pass does not disturb any generator
-// the caller holds.
-func ProfileSpec(ctx context.Context, spec trace.Spec, skip, measure, interval uint64) (*Profile, error) {
-	return ProfileGenerator(ctx, spec.New(), spec.Name, skip, measure, interval)
-}
-
-// drain advances gen by n uops without simulating them — the functional
-// fast-forward used both by profiling (to reach the measured window) and
-// by replay (to reach a representative interval).
-func drain(ctx context.Context, gen isa.Generator, name string, n uint64) error {
+// drain advances gen by n uops without simulating them: the functional
+// fast-forward profiling uses to reach the measured window.
+func drain(ctx context.Context, gen isa.Generator, n uint64) error {
 	var op isa.MicroOp
 	for i := uint64(0); i < n; i++ {
 		if i%ctxCheckUops == 0 {
-			if err := ctxErr(ctx, name, "fast-forward"); err != nil {
+			if err := ctxErr(ctx, "profile fast-forward"); err != nil {
 				return err
 			}
 		}
 		if !gen.Next(&op) {
-			return fmt.Errorf("sample: %s ended %d uops into a %d-uop fast-forward", name, i, n)
+			return fmt.Errorf("stream ended %d uops into the profile's %d-uop fast-forward", i, n)
 		}
 	}
 	return nil
 }
 
-func ctxErr(ctx context.Context, name, phase string) error {
+func ctxErr(ctx context.Context, phase string) error {
 	select {
 	case <-ctx.Done():
-		return fmt.Errorf("sample: %s %s cancelled: %w", name, phase, ctx.Err())
+		return fmt.Errorf("%s cancelled: %w", phase, ctx.Err())
 	default:
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"rfpsim/internal/config"
 	"rfpsim/internal/core"
@@ -58,19 +57,27 @@ func Normalized(sp runner.Sampling) runner.Sampling {
 // also wants a single seed, a sane interval length and a non-negative
 // representative budget.
 func Validate(job runner.Job) error {
+	if err := validate(job); err != nil {
+		return fmt.Errorf("sample: %w", err)
+	}
+	return nil
+}
+
+// validate is Validate for RunFamily, which names the job instead.
+func validate(job runner.Job) error {
 	if job.Sampling == nil {
 		return nil
 	}
 	sp := Normalized(*job.Sampling)
 	switch {
 	case job.NewGen != nil && isa.Clone(job.NewGen()) == nil:
-		return errors.New("sample: sampling needs a forkable uop source, but the NewGen factory's generator cannot be cloned (a trace must be decoded from in-memory bytes)")
+		return errors.New("sampling needs a forkable uop source, but the NewGen factory's generator cannot be cloned (a trace must be decoded from in-memory bytes)")
 	case job.Seeds > 1:
-		return fmt.Errorf("sample: sampling supports a single seed, got Seeds=%d", job.Seeds)
+		return fmt.Errorf("sampling supports a single seed, got Seeds=%d", job.Seeds)
 	case job.Sampling.MaxK < 0:
-		return fmt.Errorf("sample: MaxK must be >= 0, got %d", job.Sampling.MaxK)
+		return fmt.Errorf("MaxK must be >= 0, got %d", job.Sampling.MaxK)
 	case job.MeasureUops < sp.IntervalUops:
-		return fmt.Errorf("sample: measured window (%d uops) is shorter than one interval (%d uops)",
+		return fmt.Errorf("measured window (%d uops) is shorter than one interval (%d uops)",
 			job.MeasureUops, sp.IntervalUops)
 	}
 	return nil
@@ -110,19 +117,20 @@ func RunResult(ctx context.Context, job runner.Job) (Result, error) {
 // rest against it (workload spec, windows, sampling, functional key) and
 // fails the whole family if one does not belong. A failure in a shared
 // stage (validation, profile, plan, fast-forward, cancellation) fails
-// every job; a failure of one job's own point fails that job alone. A
-// single job, sampled or full-window, is always a family; a full-window
-// job runs through runner.Run. Stage times are billed to ctx's timings
-// collector: all of them, for the whole family.
+// every job; a failure of one job's own point fails that job alone.
+// Every error names its job once, as "sample: <workload> on <config>:",
+// followed by the cause, which names the stage or interval that failed.
+// A single job, sampled or full-window, is always a family; a
+// full-window job runs through runner.Run, which names it.
+//
+// Stage times are billed to ctx's timings collector: all of them, for
+// the whole family. Under a run ID the family runs with the pprof labels
+// run_id and workload (obs.LabelJob); each job's forks and points also
+// carry its config, and the calling goroutine gets its own labels back
+// on return.
 func RunFamily(ctx context.Context, jobs []runner.Job) ([]Result, []error) {
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	failAll := func(err error) ([]Result, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, errs
-	}
 	if len(jobs) == 0 {
 		return results, errs
 	}
@@ -130,8 +138,29 @@ func RunFamily(ctx context.Context, jobs []runner.Job) ([]Result, []error) {
 		results[0].Stats, errs[0] = runner.Run(ctx, jobs[0])
 		return results, errs
 	}
+	defer obs.RestoreLabels(ctx)
+	totals := make([]*stats.Sim, len(jobs))
+	plan, own, err := runFamily(obs.LabelJob(ctx, jobs[0].Spec.Name, ""), jobs, totals)
+	for i, job := range jobs {
+		cause := err
+		if cause == nil {
+			cause = own[i]
+		}
+		if cause != nil {
+			errs[i] = fmt.Errorf("sample: %s on %s: %w", job.Spec.Name, job.Config.Name, cause)
+			continue
+		}
+		results[i] = Result{Stats: totals[i], Plan: plan}
+	}
+	return results, errs
+}
+
+// runFamily runs RunFamily's stages and fills totals with each job's
+// weighted statistics. It returns the replay plan, each job's own
+// failure (see replayFamily) and a failure the whole family shares.
+func runFamily(ctx context.Context, jobs []runner.Job, totals []*stats.Sim) (*Plan, []error, error) {
 	if err := checkFamily(jobs); err != nil {
-		return failAll(err)
+		return nil, nil, err
 	}
 	lead := jobs[0]
 	sp := Normalized(*lead.Sampling)
@@ -141,25 +170,16 @@ func RunFamily(ctx context.Context, jobs []runner.Job) ([]Result, []error) {
 	// Warmup+Measure) stream slice a full run would measure. The whole
 	// pass is billed to the "profile" timing stage — it is cost sampling
 	// adds that a full run never pays.
-	tim := obs.ContextTimings(ctx)
-	begin := time.Now()
-	var profile *Profile
-	var err error
-	if lead.NewGen != nil {
-		profile, err = ProfileGenerator(ctx, lead.NewGen(), lead.Spec.Name, lead.WarmupUops, lead.MeasureUops, sp.IntervalUops)
-	} else {
-		profile, err = ProfileSpec(ctx, lead.Spec, lead.WarmupUops, lead.MeasureUops, sp.IntervalUops)
-	}
+	stage := obs.BeginStage(ctx, obs.StageProfile)
+	profile, err := ProfileGenerator(ctx, newGen(lead), lead.Spec.Name, lead.WarmupUops, lead.MeasureUops, sp.IntervalUops)
 	if err != nil {
-		return failAll(err)
+		return nil, nil, err
 	}
 	plan, err := BuildPlan(profile, sp.MaxK, lead.Spec.Seed^PlanSeedSalt)
 	if err != nil {
-		return failAll(err)
+		return nil, nil, err
 	}
-	if tim != nil {
-		tim.Observe(obs.StageProfile, time.Since(begin))
-	}
+	stage.End()
 	obs.Logger(ctx).Debug("replay plan built",
 		"workload", lead.Spec.Name, "points", len(plan.Points),
 		"intervals", plan.Intervals, "error_bound", plan.ErrorBound, "family", len(jobs))
@@ -168,27 +188,22 @@ func RunFamily(ctx context.Context, jobs []runner.Job) ([]Result, []error) {
 	// (replayFamily), scaling each by its cluster weight in plan order.
 	// All-or-nothing per job like runner.Run: any failed point discards
 	// that job's whole result.
-	totals := make([]*stats.Sim, len(jobs))
 	for i := range totals {
 		totals[i] = &stats.Sim{}
 	}
 	own, err := replayFamily(ctx, jobs, sp, plan.Points, func(i int, pt Point, st *stats.Sim) {
-		begin := time.Now()
 		stats.Scale(st, pt.Weight)
 		stats.Accumulate(totals[i], st)
-		if tim != nil {
-			tim.Observe(obs.StageAggregate, time.Since(begin))
-		}
 	})
-	if err != nil {
-		return failAll(err)
+	return plan, own, err
+}
+
+// newGen returns a fresh generator over job's uop stream.
+func newGen(job runner.Job) isa.Generator {
+	if job.NewGen != nil {
+		return job.NewGen()
 	}
-	for i := range jobs {
-		if errs[i] = own[i]; errs[i] == nil {
-			results[i] = Result{Stats: totals[i], Plan: plan}
-		}
-	}
-	return results, errs
+	return job.Spec.New()
 }
 
 // checkFamily validates every job and checks that each belongs to the
@@ -197,20 +212,20 @@ func checkFamily(jobs []runner.Job) error {
 	lead := jobs[0]
 	for i, job := range jobs {
 		if job.Sampling == nil {
-			return fmt.Errorf("sample: job %d is a full-window job, which runs alone, not in a family", i)
+			return fmt.Errorf("job %d is a full-window job, which runs alone, not in a family", i)
 		}
-		if err := Validate(job); err != nil {
+		if err := validate(job); err != nil {
 			return err
 		}
 		if err := job.Config.Validate(); err != nil {
-			return fmt.Errorf("sample: invalid config: %w", err)
+			return fmt.Errorf("invalid config: %w", err)
 		}
 		if job.Spec != lead.Spec || (job.NewGen == nil) != (lead.NewGen == nil) ||
 			job.WarmupUops != lead.WarmupUops || job.MeasureUops != lead.MeasureUops ||
 			job.ColdCaches != lead.ColdCaches ||
 			Normalized(*job.Sampling) != Normalized(*lead.Sampling) ||
 			config.FunctionalKey(job.Config) != config.FunctionalKey(lead.Config) {
-			return fmt.Errorf("sample: job %d (%s, config %q) is not in the family of job 0 (%s, config %q)",
+			return fmt.Errorf("job %d (%s, config %q) is not in the family of job 0 (%s, config %q)",
 				i, job.Spec.Name, job.Config.Name, lead.Spec.Name, lead.Config.Name)
 		}
 	}
@@ -229,7 +244,9 @@ func checkFamily(jobs []runner.Job) error {
 // interval on the fork, job after job. Each fork takes over the cache
 // arrays of the one before it, so at most two cores are live, and one
 // of them holds only the warmed state. Building, warming,
-// fast-forwarding and forking are billed to the fastforward stage.
+// fast-forwarding and forking are billed to the fastforward stage, and
+// done to the aggregate stage. A job's fork, point and done carry the
+// job's config label (obs.LabelJob); the shared pass carries ctx's.
 //
 // A fork equals a core fast-forwarded from uop 0 to the same point under
 // the job's own configuration: FastForward(a) then FastForward(b) leaves
@@ -242,16 +259,9 @@ func checkFamily(jobs []runner.Job) error {
 // job shares (fast-forward, or a cancelled ctx) is returned as the
 // second result instead.
 func replayFamily(ctx context.Context, jobs []runner.Job, sp runner.Sampling, points []Point, done func(int, Point, *stats.Sim)) ([]error, error) {
-	tim := obs.ContextTimings(ctx)
-	begin := time.Now()
+	stage := obs.BeginStage(ctx, obs.StageFastForward)
 	lead := jobs[0]
-	var gen isa.Generator
-	if lead.NewGen != nil {
-		gen = lead.NewGen()
-	} else {
-		gen = lead.Spec.New()
-	}
-	base := core.NewFunctional(lead.Config, gen)
+	base := core.NewFunctional(lead.Config, newGen(lead))
 	if !lead.ColdCaches {
 		base.WarmCaches()
 	}
@@ -262,7 +272,7 @@ func replayFamily(ctx context.Context, jobs []runner.Job, sp runner.Sampling, po
 		start := lead.WarmupUops + uint64(pt.Index)*sp.IntervalUops
 		warm := min(sp.WarmupUops, start) // the stream has no history before uop 0
 		fail := func(err error) error {
-			return fmt.Errorf("sample: %s interval %d: %w", lead.Spec.Name, pt.Index, err)
+			return fmt.Errorf("interval %d: %w", pt.Index, err)
 		}
 		if err := base.FastForward(ctx, start-warm-base.RetiredStreamPos()); err != nil {
 			return errs, fail(err)
@@ -271,16 +281,17 @@ func replayFamily(ctx context.Context, jobs []runner.Job, sp runner.Sampling, po
 			if errs[i] != nil {
 				continue
 			}
+			stage.End()
+			jctx := obs.LabelJob(ctx, lead.Spec.Name, job.Config.Name)
+			stage = obs.BeginStage(jctx, obs.StageFastForward)
 			c, err := base.Fork(job.Config, prev)
 			if err != nil {
 				errs[i], live = fail(err), live-1
 				continue
 			}
 			prev = c
-			if tim != nil {
-				tim.Observe(obs.StageFastForward, time.Since(begin))
-			}
-			st, err := runner.Measure(ctx, c, runner.Job{
+			stage.End()
+			st, err := runner.Measure(jctx, c, runner.Job{
 				WarmupUops:  warm,
 				MeasureUops: sp.IntervalUops,
 				AfterWarmup: job.AfterWarmup,
@@ -291,9 +302,11 @@ func replayFamily(ctx context.Context, jobs []runner.Job, sp runner.Sampling, po
 				}
 				errs[i], live = fail(err), live-1
 			} else {
+				stage = obs.BeginStage(jctx, obs.StageAggregate)
 				done(i, pt, st)
+				stage.End()
 			}
-			begin = time.Now()
+			stage = obs.BeginStage(ctx, obs.StageFastForward)
 		}
 		if live == 0 {
 			break

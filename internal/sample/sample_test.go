@@ -22,7 +22,7 @@ func mustSpec(t *testing.T, name string) trace.Spec {
 
 func TestProfileShapeAndDeterminism(t *testing.T) {
 	spec := mustSpec(t, "spec06_gcc")
-	p1, err := ProfileSpec(context.Background(), spec, 30000, 60000, 2000)
+	p1, err := ProfileGenerator(context.Background(), spec.New(), spec.Name, 30000, 60000, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestProfileShapeAndDeterminism(t *testing.T) {
 			t.Fatalf("interval %d vector norm^2 = %g, want 1", i, norm)
 		}
 	}
-	p2, err := ProfileSpec(context.Background(), spec, 30000, 60000, 2000)
+	p2, err := ProfileGenerator(context.Background(), spec.New(), spec.Name, 30000, 60000, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +51,17 @@ func TestProfileShapeAndDeterminism(t *testing.T) {
 
 func TestProfileRejectsDegenerateWindows(t *testing.T) {
 	spec := mustSpec(t, "spec06_gcc")
-	if _, err := ProfileSpec(context.Background(), spec, 0, 1000, 0); err == nil {
+	if _, err := ProfileGenerator(context.Background(), spec.New(), spec.Name, 0, 1000, 0); err == nil {
 		t.Fatal("zero interval accepted")
 	}
-	if _, err := ProfileSpec(context.Background(), spec, 0, 1000, 2000); err == nil {
+	if _, err := ProfileGenerator(context.Background(), spec.New(), spec.Name, 0, 1000, 2000); err == nil {
 		t.Fatal("window shorter than one interval accepted")
 	}
 }
 
 func TestKMeansDeterministicPartition(t *testing.T) {
 	spec := mustSpec(t, "spark")
-	p, err := ProfileSpec(context.Background(), spec, 0, 60000, 2000)
+	p, err := ProfileGenerator(context.Background(), spec.New(), spec.Name, 0, 60000, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestKMeansDeterministicPartition(t *testing.T) {
 
 func TestBuildPlanWeightsAndBound(t *testing.T) {
 	spec := mustSpec(t, "spec06_xalancbmk")
-	p, err := ProfileSpec(context.Background(), spec, 30000, 60000, 2000)
+	p, err := ProfileGenerator(context.Background(), spec.New(), spec.Name, 30000, 60000, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -88,10 +87,6 @@ type Options struct {
 	// private registry). Pass one in to co-host additional collectors on
 	// the same endpoint.
 	Registry *obs.Registry
-	// CPUProfileDir, when set, captures a CPU profile of each executed job
-	// into <dir>/job-<runid>.pprof. The Go runtime supports one CPU
-	// profile at a time, so under a busy pool only some jobs are captured.
-	CPUProfileDir string
 	// Fabric configures the persistent disk cache; the zero value
 	// disables it. See docs/fabric.md.
 	Fabric fabric.Options
@@ -444,28 +439,11 @@ func (s *Server) worker() {
 // execute runs one resolved job and marshals (and caches) its response.
 // The context already carries the request's run ID and logger; a fresh
 // timings collector is attached here so runner/sample fill in the
-// per-stage breakdown, which rides back in the jobResult (and, when
-// CPUProfileDir is set, next to a job-<runid>.pprof capture).
+// per-stage breakdown, which rides back in the jobResult.
 func (s *Server) execute(ctx context.Context, rj *resolvedJob) jobResult {
 	job := rj.job
 	tctx, tim := obs.WithTimings(ctx)
-	var res sample.Result
-	run := func() error {
-		var err error
-		res, err = sample.RunResult(tctx, job)
-		return err
-	}
-	var err error
-	if s.opts.CPUProfileDir != "" {
-		path := filepath.Join(s.opts.CPUProfileDir, "job-"+obs.RunID(ctx)+".pprof")
-		var captured bool
-		captured, err = obs.CaptureCPUProfile(path, run)
-		if captured {
-			obs.Logger(ctx).Debug("cpu profile captured", "path", path)
-		}
-	} else {
-		err = run()
-	}
+	res, err := sample.RunResult(tctx, job)
 	if err != nil {
 		return jobResult{err: err}
 	}
@@ -792,34 +770,23 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
+// handleHealthz serves the Status snapshot the console polls, plus
+// "status": "ok", or "draining" with a 503 and Retry-After.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	draining := s.closed
-	s.mu.RUnlock()
+	st := s.Status()
 	status := "ok"
 	code := http.StatusOK
-	if draining {
+	if st.Draining {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", retryAfterDrain)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	body := map[string]interface{}{
-		"status":         status,
-		"workers":        s.opts.workers(),
-		"queue_depth":    s.opts.queueDepth(),
-		"tenant_depth":   s.opts.tenantQueueDepth(),
-		"tenants_queued": s.sched.tenantsQueued(),
-		"jobs_queued":    s.metrics.jobsQueued.Load(),
-		"jobs_running":   s.metrics.jobsRunning.Load(),
-		"cache_entries":  s.cache.len(),
-		"cache_bytes":    s.cache.bytes(),
-	}
-	if s.disk != nil {
-		body["fabric"] = s.disk.String()
-	}
-	json.NewEncoder(w).Encode(body)
+	json.NewEncoder(w).Encode(struct {
+		State string `json:"status"`
+		Status
+	}{status, st})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

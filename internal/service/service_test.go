@@ -423,8 +423,8 @@ func TestHealthzAndWorkloads(t *testing.T) {
 		t.Fatalf("/healthz = %d", resp.StatusCode)
 	}
 	var h map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || h["status"] != "ok" {
-		t.Errorf("healthz body = %v (%v)", h, err)
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || h["status"] != "ok" || h["workers"] != 1.0 {
+		t.Errorf("healthz body = %v (%v), want status ok and the Status snapshot", h, err)
 	}
 
 	resp2, err := http.Get(ts.URL + "/v1/workloads")
@@ -474,6 +474,10 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 	}
 	if got := hresp.Header.Get("Retry-After"); got != retryAfterDrain {
 		t.Errorf("/healthz draining Retry-After = %q, want %q", got, retryAfterDrain)
+	}
+	var h map[string]interface{}
+	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil || h["status"] != "draining" || h["draining"] != true {
+		t.Errorf("/healthz draining body = %v (%v), want status and draining set", h, err)
 	}
 }
 

@@ -281,8 +281,8 @@ func TestFamilyFailures(t *testing.T) {
 			t.Fatalf("err = %v, %d failed, %d completed; want all 4 failed", err, len(sum.Failed), len(sum.Results))
 		}
 		for _, f := range sum.Failed {
-			if f.Err.Error() != sum.Failed[0].Err.Error() {
-				t.Errorf("members fail differently: %v and %v", sum.Failed[0].Err, f.Err)
+			if errors.Unwrap(f.Err).Error() != errors.Unwrap(sum.Failed[0].Err).Error() {
+				t.Errorf("members fail with different causes: %v and %v", sum.Failed[0].Err, f.Err)
 			}
 		}
 	})
