@@ -8,8 +8,8 @@
 package rfpsim_bench
 
 import (
+	"bytes"
 	"context"
-
 	"testing"
 
 	"rfpsim/internal/config"
@@ -19,6 +19,7 @@ import (
 	"rfpsim/internal/runner"
 	"rfpsim/internal/sample"
 	"rfpsim/internal/trace"
+	"rfpsim/internal/tracefile"
 )
 
 // benchOpts returns a small but representative option set so a single
@@ -192,4 +193,71 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen.Next(&op)
 	}
+}
+
+// traceUops is the length of the .rfpt stream the codec benchmarks run
+// over: the 250K-uop spark trace rfpbench's service-mix uploads.
+const traceUops = 250000
+
+// sparkUops returns the first traceUops uops of spark.
+func sparkUops() []isa.MicroOp {
+	spec, _ := trace.ByName("spark")
+	gen := spec.New()
+	ops := make([]isa.MicroOp, traceUops)
+	for i := range ops {
+		gen.Next(&ops[i])
+	}
+	return ops
+}
+
+// encodeTrace writes ops as an .rfpt stream into buf.
+func encodeTrace(b *testing.B, buf *bytes.Buffer, ops []isa.MicroOp) {
+	w := tracefile.NewWriter(buf)
+	for i := range ops {
+		if err := w.Write(&ops[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkTraceEncode measures the .rfpt encoder: one op writes the
+// 250K-uop spark stream through tracefile.Writer into a reused buffer.
+func BenchmarkTraceEncode(b *testing.B) {
+	ops := sparkUops()
+	var buf bytes.Buffer
+	encodeTrace(b, &buf, ops)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		encodeTrace(b, &buf, ops)
+	}
+	b.ReportMetric(float64(traceUops*b.N)/b.Elapsed().Seconds(), "uops/s")
+}
+
+// BenchmarkTraceDecode measures the .rfpt decoder: one op decodes the
+// 250K-uop spark stream from memory through tracefile.Reader, as a
+// trace upload's validation and every trace-sourced job do.
+func BenchmarkTraceDecode(b *testing.B) {
+	var buf bytes.Buffer
+	encodeTrace(b, &buf, sparkUops())
+	raw := buf.Bytes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := tracefile.NewReader(bytes.NewReader(raw), "spark")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var op isa.MicroOp
+		n := 0
+		for r.Next(&op) {
+			n++
+		}
+		if n != traceUops || r.Err() != nil {
+			b.Fatalf("decoded %d of %d uops: %v", n, traceUops, r.Err())
+		}
+	}
+	b.ReportMetric(float64(traceUops*b.N)/b.Elapsed().Seconds(), "uops/s")
 }

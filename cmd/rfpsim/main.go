@@ -41,10 +41,11 @@
 // -v turns on debug logging and prints a per-stage wall-time breakdown
 // (fast-forward / warmup / measure / aggregate, plus profile under
 // -sample) to stderr after the run; -cpuprofile writes a pprof CPU
-// profile of the simulation, or exits 1 before simulating when it cannot
-// create the file. Each run mints a run ID: the debug log lines carry
-// it, and the profile's samples carry it with the workload, config and
-// stage as pprof labels (go tool pprof -tags). See docs/observability.md.
+// profile of the simulation, -diff runs included, or exits 1 before
+// simulating when it cannot create the file. Each run mints a run ID: the
+// debug log lines carry it, and the profile's samples carry it with the
+// workload, config and stage as pprof labels (go tool pprof -tags). See
+// docs/observability.md.
 package main
 
 import (
@@ -122,8 +123,13 @@ func main() {
 	if *doSample {
 		sampling = &runner.Sampling{IntervalUops: *sInterval, MaxK: *sMaxK, WarmupUops: *sWarmup}
 	}
+	// The run ID puts run_id on the debug log lines and, with the job's
+	// workload, config and stage, on the CPU profile's samples.
+	ctx = obs.WithRunID(ctx, obs.NewRunID())
 	if *diffMode != "" {
+		stopProfile := startCPUProfile(*cpuProfile)
 		code := runDiff(ctx, cfg, *diffMode, *workload, *traceFile, *measure, *diffIntvl, sampling)
+		stopProfile()
 		stop()
 		os.Exit(code)
 	}
@@ -164,31 +170,13 @@ func main() {
 		}
 	}
 
-	// The run ID puts run_id on the debug log lines and, with the job's
-	// workload, config and stage, on the CPU profile's samples.
-	ctx = obs.WithRunID(ctx, obs.NewRunID())
 	var tim *obs.Timings
 	if *verbose {
 		ctx, tim = obs.WithTimings(ctx)
 	}
-	var profFile *os.File
-	if *cpuProfile != "" {
-		if profFile, err = os.Create(*cpuProfile); err == nil {
-			err = pprof.StartCPUProfile(profFile)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	stopProfile := startCPUProfile(*cpuProfile)
 	res, runErr := sample.RunResult(ctx, job)
-	if profFile != nil {
-		pprof.StopCPUProfile()
-		if err := profFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	stopProfile()
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "run failed: %v\n", runErr)
 		os.Exit(1)
@@ -204,6 +192,30 @@ func main() {
 	if *profile {
 		fmt.Println("\nper-PC load profile (top 15):")
 		fmt.Println(observed.Profile())
+	}
+}
+
+// startCPUProfile starts a pprof CPU profile into path, or exits 1 when it
+// cannot, and returns the function that stops it and closes the file. An
+// empty path profiles nothing.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }
 

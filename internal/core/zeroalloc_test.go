@@ -1,23 +1,56 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"rfpsim/internal/config"
+	"rfpsim/internal/isa"
 	"rfpsim/internal/trace"
+	"rfpsim/internal/tracefile"
 )
 
-// steadyCore builds a core on a real catalog workload and runs it long
-// enough that every growable structure (fetch queue, replay buffer, MSHR
-// list, flush scratch buffers) has reached its steady-state capacity.
-func steadyCore(t *testing.T, cfg config.Core) *Core {
+// zeroAllocGen returns a generator of the catalog workload name. With
+// fromTrace it is the generator a trace-sourced job runs: a
+// tracefile.Factory generator over the workload's first 150K uops encoded
+// as .rfpt, more than any zero-alloc test here draws.
+func zeroAllocGen(t *testing.T, name string, fromTrace bool) isa.Generator {
 	t.Helper()
-	spec, ok := trace.ByName("spec06_gcc")
+	spec, ok := trace.ByName(name)
 	if !ok {
-		t.Fatal("spec06_gcc missing from catalog")
+		t.Fatalf("%s missing from catalog", name)
 	}
-	c := New(cfg, spec.New())
+	if !fromTrace {
+		return spec.New()
+	}
+	var buf bytes.Buffer
+	w := tracefile.NewWriter(&buf)
+	g := spec.New()
+	var op isa.MicroOp
+	for i := 0; i < 150000; i++ {
+		g.Next(&op)
+		if err := w.Write(&op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	newGen, err := tracefile.Factory(buf.Bytes(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newGen()
+}
+
+// steadyCore builds a core on spec06_gcc, from the catalog or with
+// fromTrace from its .rfpt encoding, and runs it long enough that every
+// growable structure (fetch queue, replay buffer, MSHR list, flush scratch
+// buffers) has reached its steady-state capacity.
+func steadyCore(t *testing.T, cfg config.Core, fromTrace bool) *Core {
+	t.Helper()
+	c := New(cfg, zeroAllocGen(t, "spec06_gcc", fromTrace))
 	c.WarmCaches()
 	if _, err := c.Run(context.Background(), 50000); err != nil {
 		t.Fatal(err)
@@ -35,29 +68,33 @@ func TestStepZeroAllocs(t *testing.T) {
 	lateAlloc := config.Baseline().WithRFP()
 	lateAlloc.LateRegAlloc = true
 	for _, tc := range []struct {
-		name string
-		cfg  config.Core
+		name      string
+		cfg       config.Core
+		fromTrace bool
 	}{
-		{"baseline", config.Baseline()},
-		{"rfp", config.Baseline().WithRFP()},
+		{"baseline", config.Baseline(), false},
+		{"rfp", config.Baseline().WithRFP(), false},
 		// The prefetcher zoo rides the demand path, so every scheme (and
 		// the adaptive manager, which runs all of them) must honor the
 		// same zero-alloc contract.
 		// The CLP schedule adds a prediction per dispatched load and a
 		// training update per committed one; both must stay table-only.
-		{"clp", config.Baseline().WithCLP()},
-		{"spp", config.Baseline().WithRFP().WithPrefetcher("spp")},
-		{"sisb", config.Baseline().WithRFP().WithPrefetcher("sisb")},
-		{"managed", config.Baseline().WithRFP().WithPrefetcher("managed")},
+		{"clp", config.Baseline().WithCLP(), false},
+		{"spp", config.Baseline().WithRFP().WithPrefetcher("spp"), false},
+		{"sisb", config.Baseline().WithRFP().WithPrefetcher("sisb"), false},
+		{"managed", config.Baseline().WithRFP().WithPrefetcher("managed"), false},
 		// Value-misprediction flushes, EPP re-executions and late-claim
 		// retries all update the scheduler indexes; that upkeep must
 		// reuse the storage New preallocated.
-		{"eves", config.Baseline().WithVP(config.VPEVES)},
-		{"epp", config.Baseline().WithVP(config.VPEPP)},
-		{"late-alloc", lateAlloc},
+		{"eves", config.Baseline().WithVP(config.VPEVES), false},
+		{"epp", config.Baseline().WithVP(config.VPEPP), false},
+		{"late-alloc", lateAlloc, false},
+		// A trace-sourced job decodes its uops from .rfpt bytes; the
+		// decoder is part of the interval's budget too.
+		{"trace", config.Baseline().WithRFP(), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := steadyCore(t, tc.cfg)
+			c := steadyCore(t, tc.cfg, tc.fromTrace)
 			ctx := context.Background()
 			avg := testing.AllocsPerRun(5, func() {
 				if _, err := c.Run(ctx, 2000); err != nil {
@@ -82,13 +119,19 @@ func TestFastForwardZeroAllocs(t *testing.T) {
 		config.Baseline().WithCLP().WithPrefetcher("managed"),
 		config.Baseline().WithVP(config.VPEVES),
 	} {
-		for _, name := range []string{"spec06_mcf", "spec06_gcc", "tpce"} {
-			t.Run(name+"/"+cfg.Name, func(t *testing.T) {
-				spec, ok := trace.ByName(name)
-				if !ok {
-					t.Fatalf("%s missing from catalog", name)
-				}
-				c := New(cfg, spec.New())
+		for _, src := range []struct {
+			name      string
+			fromTrace bool
+		}{
+			{"spec06_mcf", false}, {"spec06_gcc", false}, {"tpce", false},
+			{"spec06_gcc", true},
+		} {
+			label := src.name
+			if src.fromTrace {
+				label += ".rfpt"
+			}
+			t.Run(label+"/"+cfg.Name, func(t *testing.T) {
+				c := New(cfg, zeroAllocGen(t, src.name, src.fromTrace))
 				c.WarmCaches()
 				ctx := context.Background()
 				if err := c.FastForward(ctx, 50000); err != nil {
@@ -112,7 +155,7 @@ func TestFastForwardZeroAllocs(t *testing.T) {
 // while no trace is attached. The counter is the regression tripwire — an
 // eagerly evaluated trace argument at any call site re-fires it.
 func TestTraceUopLazyWhenDetached(t *testing.T) {
-	c := steadyCore(t, config.Baseline().WithRFP())
+	c := steadyCore(t, config.Baseline().WithRFP(), false)
 	before := traceUopCalls
 	if _, err := c.Run(context.Background(), 5000); err != nil {
 		t.Fatal(err)
@@ -136,7 +179,7 @@ func TestTraceUopLazyWhenDetached(t *testing.T) {
 // trace is attached but the current cycle lies outside its window, which
 // must be just as allocation-free as no trace at all.
 func TestTraceOutsideWindowZeroAllocs(t *testing.T) {
-	c := steadyCore(t, config.Baseline().WithRFP())
+	c := steadyCore(t, config.Baseline().WithRFP(), false)
 	c.AttachPipeTrace(discard{}, ^uint64(0)-1, ^uint64(0))
 	ctx := context.Background()
 	avg := testing.AllocsPerRun(5, func() {

@@ -1,8 +1,8 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 
@@ -31,7 +31,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			runID = obs.NewRunID()
 		}
 		w.Header().Set(RunIDHeader, runID)
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+		raw, err := readTraceBody(w, r)
 		if err != nil {
 			s.metrics.traceRejects.Add(1)
 			writeJSONError(w, http.StatusBadRequest, "invalid", "reading trace body: "+err.Error())
@@ -59,6 +59,24 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSONError(w, http.StatusMethodNotAllowed, "invalid", "POST or GET only")
 	}
+}
+
+// maxTraceBytes caps a trace upload's body.
+const maxTraceBytes = 64 << 20
+
+// readTraceBody reads an upload's body, at most maxTraceBytes of it. A
+// known Content-Length sizes the buffer once, where io.ReadAll would
+// regrow it step by step; a declared length over the cap fails before
+// reading, with the error MaxBytesReader gives once it has read past the
+// cap.
+func readTraceBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxTraceBytes {
+		return nil, &http.MaxBytesError{Limit: maxTraceBytes}
+	}
+	// MinRead of spare room lets ReadFrom see the end without regrowing.
+	buf := bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxTraceBytes))
+	return buf.Bytes(), err
 }
 
 // handleTraceByAddr is GET /v1/traces/{addr}: the stored trace's info

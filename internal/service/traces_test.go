@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -203,6 +206,69 @@ func TestTraceRejectsCounted(t *testing.T) {
 	if !strings.Contains(string(metrics), "rfpsimd_trace_rejects_total 4") {
 		t.Errorf("/metrics missing rfpsimd_trace_rejects_total 4:\n%s", metrics)
 	}
+}
+
+// TestTraceUploadBodyRejects: an upload whose body ends before its
+// Content-Length, and one whose body runs past the 64 MiB cap, are
+// rejected with the structured error, counted, and stored nowhere.
+func TestTraceUploadBodyRejects(t *testing.T) {
+	svc, ts := newTestServer(t, Options{Workers: 1})
+	raw := validTraceBytes(t, "spec06_hmmer", 2000)
+
+	// The client declares 100 bytes more than it sends, then closes its
+	// side of the connection.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/traces HTTP/1.1\r\nHost: rfpsimd\r\nContent-Length: %d\r\n\r\n", len(raw)+100)
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	checkRejected(t, "short body", resp.StatusCode, short, "reading trace body: unexpected EOF")
+
+	// A body of one byte more than the cap, with its length declared.
+	const over = 64<<20 + 1
+	req := httptest.NewRequest(http.MethodPost, "/v1/traces", io.LimitReader(zeroReader{}, over))
+	req.ContentLength = over
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	checkRejected(t, "body over the cap", rec.Code, rec.Body.Bytes(), "reading trace body: http: request body too large")
+
+	if got := svc.Metrics().traceRejects.Load(); got != 2 {
+		t.Errorf("rfpsimd_trace_rejects_total = %d, want 2", got)
+	}
+	if n := svc.Traces().Len(); n != 0 {
+		t.Errorf("store holds %d traces after two rejected uploads, want 0", n)
+	}
+}
+
+// checkRejected fails t unless an upload's response is a 400 whose
+// structured error body reads want.
+func checkRejected(t *testing.T, what string, code int, body []byte, want string) {
+	t.Helper()
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil || code != http.StatusBadRequest || e.Status != "invalid" || e.Error != want {
+		t.Errorf("%s: %d %s, want 400 with error %q", what, code, body, want)
+	}
+}
+
+// zeroReader reads an endless run of zero bytes.
+type zeroReader struct{}
+
+func (zeroReader) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // TestTraceByReferenceSharesInlineCacheEntry: submitting "trace:<addr>"

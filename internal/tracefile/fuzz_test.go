@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"rfpsim/internal/isa"
@@ -70,4 +71,70 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
 		}
 	})
+}
+
+// FuzzDecodeMatchesReference runs Reader and the reference decoder
+// (refReader) over the same bytes, from a *bytes.Reader and from a
+// bytes.Buffer that cannot rewind. Both must give the same NewReader
+// error, the same uops and the same Err.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	valid, _ := encodeWorkload(f, "spec06_mcf", 64)
+	f.Add(valid)
+	for n := 0; n < 200 && n < len(valid); n++ {
+		f.Add(valid[:n])
+	}
+	header := valid[:16]
+	record := []byte{byte(isa.OpALU), 1, 2, 3, 0, 0}
+	// An 11-byte uvarint: ten continuation bytes, then a terminator.
+	long := append(append(append([]byte{}, header...), record...), bytes.Repeat([]byte{0x80}, 10)...)
+	f.Add(append(long, 0))
+	// A 10th uvarint byte above 1 overflows 64 bits.
+	f.Add(append(append(append(append([]byte{}, header...), record...), bytes.Repeat([]byte{0xff}, 9)...), 2))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for name, open := range map[string]func() io.Reader{
+			"bytes.Reader": func() io.Reader { return bytes.NewReader(data) },
+			"bytes.Buffer": func() io.Reader { return bytes.NewBuffer(data) },
+		} {
+			matchReference(t, name, open)
+		}
+	})
+}
+
+// matchReference decodes the stream open returns with Reader and with the
+// reference decoder and fails t where the two differ.
+func matchReference(t *testing.T, name string, open func() io.Reader) {
+	t.Helper()
+	got, gotErr := NewReader(open(), "x")
+	want, wantErr := newRefReader(open(), "x")
+	if errString(gotErr) != errString(wantErr) {
+		t.Fatalf("%s: NewReader error %q, reference %q", name, errString(gotErr), errString(wantErr))
+	}
+	if wantErr != nil {
+		return
+	}
+	var g, w isa.MicroOp
+	for i := 0; ; i++ {
+		gok, wok := got.Next(&g), want.Next(&w)
+		if gok != wok {
+			t.Fatalf("%s: uop %d: Next = %v, reference %v (Err %q, reference %q)",
+				name, i, gok, wok, errString(got.Err()), errString(want.Err()))
+		}
+		if !wok {
+			break
+		}
+		if g != w {
+			t.Fatalf("%s: uop %d is %+v, reference %+v", name, i, g, w)
+		}
+	}
+	if errString(got.Err()) != errString(want.Err()) {
+		t.Fatalf("%s: Err %q, reference %q", name, errString(got.Err()), errString(want.Err()))
+	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -14,6 +14,14 @@
 // record of the same kind (zig-zag varints), which compresses typical traces
 // by 4-6x versus fixed-width records. Branch direction lives in record flag
 // bit 0.
+//
+// Neither direction allocates per record. Reader decodes each record in
+// place from a 64 KiB window it refills from its source, whatever the
+// source is, when less than one maximal record (46 bytes) is left in it.
+// Writer appends each record whole into its buffer's free space and
+// writes it once. A Reader over a *bytes.Reader, which is what Factory
+// hands out, clones in O(1) (see Reader.Clone); docs/traces.md gives the
+// codec's cost per uop.
 package tracefile
 
 import (
@@ -55,7 +63,6 @@ type Writer struct {
 	lastTarget uint64
 
 	headerDone bool
-	buf        [binary.MaxVarintLen64]byte
 }
 
 // NewWriter wraps w. The header is emitted lazily on the first record; the
@@ -87,39 +94,31 @@ func delta(prev, cur uint64) uint64 {
 	return zigzag(int64(cur) - int64(prev))
 }
 
-func (t *Writer) varint(v uint64) error {
-	n := binary.PutUvarint(t.buf[:], v)
-	_, err := t.w.Write(t.buf[:n])
-	return err
-}
-
-// Write appends one micro-op.
+// Write appends one micro-op. It appends the whole record to the
+// buffer's free space and writes it once, flushing first if the space
+// left could not hold a maximal record.
 func (t *Writer) Write(op *isa.MicroOp) error {
 	if err := t.header(); err != nil {
 		return err
+	}
+	if t.w.Available() < maxRecord {
+		if err := t.w.Flush(); err != nil {
+			return err
+		}
 	}
 	var flags byte
 	if op.Taken {
 		flags |= flagTaken
 	}
-	fixed := [6]byte{byte(op.Class), byte(op.Dst), byte(op.Src1), byte(op.Src2), op.Size, flags}
-	if _, err := t.w.Write(fixed[:]); err != nil {
+	b := append(t.w.AvailableBuffer(), byte(op.Class), byte(op.Dst), byte(op.Src1), byte(op.Src2), op.Size, flags)
+	b = binary.AppendUvarint(b, delta(t.lastPC, op.PC))
+	b = binary.AppendUvarint(b, delta(t.lastAddr, op.Addr))
+	b = binary.AppendUvarint(b, delta(t.lastValue, op.Value))
+	b = binary.AppendUvarint(b, delta(t.lastTarget, op.Target))
+	if _, err := t.w.Write(b); err != nil {
 		return err
 	}
-	for _, f := range [4]struct {
-		prev *uint64
-		cur  uint64
-	}{
-		{&t.lastPC, op.PC},
-		{&t.lastAddr, op.Addr},
-		{&t.lastValue, op.Value},
-		{&t.lastTarget, op.Target},
-	} {
-		if err := t.varint(delta(*f.prev, f.cur)); err != nil {
-			return err
-		}
-		*f.prev = f.cur
-	}
+	t.lastPC, t.lastAddr, t.lastValue, t.lastTarget = op.PC, op.Addr, op.Value, op.Target
 	t.count++
 	return nil
 }
@@ -136,8 +135,20 @@ func (t *Writer) Flush() error {
 }
 
 // Reader decodes a trace file and implements isa.Generator.
+//
+// It decodes every record in place from a window of bytes read ahead from
+// its source, whatever the source is, and refills the window only when
+// less than one maximal record is left in it.
 type Reader struct {
-	r    byteReader
+	src    io.Reader
+	srcErr error  // the source's first error (io.EOF at its end); no Read follows it
+	win    []byte // the window: win[:pos] is decoded, win[pos:] not yet
+	pos    int
+	// head is the window NewReader reads the header through: it reads no
+	// byte past the header, and a Reader that never decodes a record (a
+	// header check) allocates no window.
+	head [16]byte
+
 	name string
 	seq  uint64
 	err  error
@@ -148,47 +159,125 @@ type Reader struct {
 	lastTarget uint64
 }
 
-// byteReader is what the decoder reads through: a buffered stream, or an
-// in-memory trace read directly.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
+const (
+	// windowSize is the capacity of a Reader's window.
+	windowSize = 1 << 16
+	// fixedLen is the length of a record's fixed fields.
+	fixedLen = 6
+	// maxRecord is the length of the longest record: the fixed fields and
+	// four 10-byte uvarints.
+	maxRecord = fixedLen + 4*binary.MaxVarintLen64
+)
+
+// errOverflow is the error binary.ReadUvarint reports for a uvarint that
+// does not fit 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // NewReader validates the header and returns a generator named name. A
-// *bytes.Reader is decoded in place, without a buffering layer, which
-// makes the Reader cloneable (see Clone).
+// Reader over a *bytes.Reader is cloneable (see Clone).
 func NewReader(r io.Reader, name string) (*Reader, error) {
-	var br byteReader
-	if b, ok := r.(*bytes.Reader); ok {
-		br = b
-	} else {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	t := &Reader{src: r, name: name}
+	t.win = t.head[:0]
+	magic, err := t.take(len(Magic))
+	if err != nil {
 		return nil, fmt.Errorf("tracefile: reading magic: %w", err)
 	}
-	if magic != Magic {
+	if [4]byte(magic) != Magic {
 		return nil, ErrBadMagic
 	}
-	var h [12]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
+	h, err := t.take(12)
+	if err != nil {
 		return nil, fmt.Errorf("tracefile: reading header: %w", err)
 	}
 	if v := binary.LittleEndian.Uint16(h[0:]); v != Version {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	return &Reader{r: br, name: name}, nil
+	return t, nil
+}
+
+// fill slides the window's undecoded bytes to its front and reads from the
+// source until at least n bytes are undecoded or the source fails. Like
+// bufio.Reader, it gives up with io.ErrNoProgress after 100 empty reads.
+// A window too small for n bytes (the header's, or a clone's nil one) is
+// replaced by a full-size one.
+func (t *Reader) fill(n int) {
+	if cap(t.win) < n {
+		t.win = append(make([]byte, 0, windowSize), t.win[t.pos:]...)
+	} else {
+		t.win = t.win[:copy(t.win[:cap(t.win)], t.win[t.pos:])]
+	}
+	t.pos = 0
+	for empty := 0; len(t.win) < n && t.srcErr == nil; {
+		k, err := t.src.Read(t.win[len(t.win):cap(t.win)])
+		t.win = t.win[:len(t.win)+k]
+		switch {
+		case err != nil:
+			t.srcErr = err
+		case k > 0:
+			empty = 0
+		default:
+			if empty++; empty == 100 {
+				t.srcErr = io.ErrNoProgress
+			}
+		}
+	}
+}
+
+// short is the error for a read that needed more bytes than are left and
+// found got of them, as io.ReadFull and binary.ReadUvarint report it: the
+// source's own error, except that an end of input after some of the bytes
+// is io.ErrUnexpectedEOF.
+func (t *Reader) short(got int) error {
+	if got > 0 && t.srcErr == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return t.srcErr
+}
+
+// take consumes the next n bytes, or reports what io.ReadFull would.
+func (t *Reader) take(n int) ([]byte, error) {
+	if len(t.win)-t.pos < n {
+		t.fill(n)
+	}
+	b := t.win[t.pos:]
+	if len(b) < n {
+		return nil, t.short(len(b))
+	}
+	t.pos += n
+	return b[:n], nil
+}
+
+// uvarint decodes the uvarint at the start of b and returns it with its
+// length. A length of 0 means b ends inside the uvarint; a negative one
+// means it overflows 64 bits, which binary.ReadUvarint reports at the same
+// byte.
+func uvarint(b []byte) (uint64, int) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if i == len(b) {
+			return 0, 0
+		}
+		c := b[i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0, -1
+			}
+			return x | uint64(c)<<s, i + 1
+		}
+		x |= uint64(c&0x7f) << s
+		s += 7
+	}
+	return 0, -1
 }
 
 // Factory validates the header of an in-memory trace once and returns a
 // re-instantiable generator factory over it: every call re-decodes raw
 // from the start, so each generator replays the identical stream, and
-// each decodes raw in place and so is an isa.Cloner. This is the uop
-// source a trace-sourced runner.Job carries as NewGen; sampled replay
-// needs both properties (one generator to profile, one to fast-forward
-// and fork). raw must not be modified afterwards.
+// each reads raw through a *bytes.Reader and so is an isa.Cloner. This
+// is the uop source a trace-sourced runner.Job carries as NewGen; sampled
+// replay needs both properties (one generator to profile, one to
+// fast-forward and fork). raw must not be modified afterwards.
 func Factory(raw []byte, name string) (func() isa.Generator, error) {
 	if _, err := NewReader(bytes.NewReader(raw), name); err != nil {
 		return nil, err
@@ -207,17 +296,22 @@ func Factory(raw []byte, name string) (func() isa.Generator, error) {
 func (t *Reader) Name() string { return t.name }
 
 // Clone implements isa.Cloner. A Reader over a *bytes.Reader clones by
-// copying the read position and the delta-decoding state; the trace bytes
-// themselves are immutable and shared. A Reader over any other stream
+// copying the source's read position, moved back over the bytes this
+// Reader holds in its window undecoded, and the delta-decoding state; the
+// trace bytes themselves are immutable and shared, and the clone fills a
+// window of its own on its first Next. A Reader over any other stream
 // cannot rewind and returns nil.
 func (t *Reader) Clone() isa.Generator {
-	b, ok := t.r.(*bytes.Reader)
+	b, ok := t.src.(*bytes.Reader)
 	if !ok {
 		return nil
 	}
-	pos := *b
+	src := *b
+	// The window's bytes were all read from src, so the position stays
+	// non-negative and Seek cannot fail.
+	_, _ = src.Seek(-int64(len(t.win)-t.pos), io.SeekCurrent)
 	c := *t
-	c.r = &pos
+	c.src, c.srcErr, c.win, c.pos = &src, nil, nil, 0
 	return &c
 }
 
@@ -235,40 +329,47 @@ func (t *Reader) Next(op *isa.MicroOp) bool {
 	if t.err != nil {
 		return false
 	}
-	var fixed [6]byte
-	if _, err := io.ReadFull(t.r, fixed[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.ErrUnexpectedEOF // truncated mid-record: a real error
-		}
-		t.err = err
+	if len(t.win)-t.pos < maxRecord && t.srcErr == nil {
+		t.fill(maxRecord)
+	}
+	b := t.win[t.pos:]
+	if len(b) < fixedLen {
+		t.err = t.short(len(b)) // io.EOF on a record boundary: the clean end
 		return false
 	}
-	*op = isa.MicroOp{
-		Class: isa.OpClass(fixed[0]),
-		Dst:   isa.RegID(fixed[1]),
-		Src1:  isa.RegID(fixed[2]),
-		Src2:  isa.RegID(fixed[3]),
-		Size:  fixed[4],
-		Taken: fixed[5]&flagTaken != 0,
-	}
-	for _, f := range [4]struct {
-		prev *uint64
-		dst  *uint64
-	}{
-		{&t.lastPC, &op.PC},
-		{&t.lastAddr, &op.Addr},
-		{&t.lastValue, &op.Value},
-		{&t.lastTarget, &op.Target},
-	} {
-		d, err := binary.ReadUvarint(t.r)
-		if err != nil {
+	var d [4]uint64
+	n := fixedLen
+	for i := range d {
+		v, k := uvarint(b[n:])
+		if k <= 0 {
+			err := errOverflow
+			if k == 0 {
+				err = t.short(len(b) - n)
+			}
 			t.err = fmt.Errorf("tracefile: truncated record: %w", err)
 			return false
 		}
-		*f.prev = uint64(int64(*f.prev) + unzig(d))
-		*f.dst = *f.prev
+		d[i] = v
+		n += k
 	}
-	op.Seq = t.seq
+	t.pos += n
+	t.lastPC += uint64(unzig(d[0]))
+	t.lastAddr += uint64(unzig(d[1]))
+	t.lastValue += uint64(unzig(d[2]))
+	t.lastTarget += uint64(unzig(d[3]))
+	*op = isa.MicroOp{
+		Seq:    t.seq,
+		PC:     t.lastPC,
+		Class:  isa.OpClass(b[0]),
+		Dst:    isa.RegID(b[1]),
+		Src1:   isa.RegID(b[2]),
+		Src2:   isa.RegID(b[3]),
+		Addr:   t.lastAddr,
+		Size:   b[4],
+		Value:  t.lastValue,
+		Taken:  b[5]&flagTaken != 0,
+		Target: t.lastTarget,
+	}
 	t.seq++
 	return true
 }

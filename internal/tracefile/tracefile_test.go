@@ -2,9 +2,13 @@ package tracefile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"rfpsim/internal/isa"
@@ -388,11 +392,11 @@ func TestReaderCloneProperty(t *testing.T) {
 
 // encodeWorkload writes the first n uops of a catalog workload as an
 // in-memory trace and returns its bytes and the uops themselves.
-func encodeWorkload(t *testing.T, name string, n int) ([]byte, []isa.MicroOp) {
-	t.Helper()
+func encodeWorkload(tb testing.TB, name string, n int) ([]byte, []isa.MicroOp) {
+	tb.Helper()
 	spec, ok := trace.ByName(name)
 	if !ok {
-		t.Fatalf("catalog workload %s missing", name)
+		tb.Fatalf("catalog workload %s missing", name)
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -401,11 +405,11 @@ func encodeWorkload(t *testing.T, name string, n int) ([]byte, []isa.MicroOp) {
 	for i := range ops {
 		g.Next(&ops[i])
 		if err := w.Write(&ops[i]); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes(), ops
 }
@@ -487,6 +491,70 @@ func TestFactoryRejectsBadHeader(t *testing.T) {
 		newGen, err := Factory(bad, "x")
 		if err == nil || newGen != nil {
 			t.Errorf("%s: Factory returned (%v, %v), want an error and no factory", name, newGen != nil, err)
+		}
+	}
+}
+
+// TestWriterBytesPinned pins the encoder's bytes: the SHA-256 of the trace
+// Writer makes from a catalog workload's first n uops, which is also the
+// trace's content address. spark's 250K uops are the trace behind every
+// trace-sourced request of rfpbench's service-mix. Decoding gives back
+// the uops that were encoded.
+func TestWriterBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		sha  string
+	}{
+		{"spark", 250000, "99f6c00a826f7c0841249a0a2836066d61268c3603e761112031359a8945293c"},
+		{"spec06_mcf", 50000, "6f89969330284997ee709c8c1eda24b0ce3d611645ebe80a6c7893df4a4e17fc"},
+		{"spec17_x264", 50000, "19035873cc812c737e0f0bccc0b5c65cc3fa5944cf47bd3b1276179f53520974"},
+	} {
+		raw, want := encodeWorkload(t, tc.name, tc.n)
+		sum := sha256.Sum256(raw)
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("%s, %d uops: SHA-256 %s, want %s", tc.name, tc.n, got, tc.sha)
+		}
+		r, err := NewReader(bytes.NewReader(raw), tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var op isa.MicroOp
+		for i := range want {
+			if !r.Next(&op) || op != want[i] {
+				t.Fatalf("%s: uop %d decodes as %+v, want %+v (Err %v)", tc.name, i, op, want[i], r.Err())
+			}
+		}
+		if r.Next(&op) || r.Err() != nil {
+			t.Fatalf("%s: trace does not end cleanly after %d uops (Err %v)", tc.name, tc.n, r.Err())
+		}
+	}
+}
+
+// TestDecodeMatchesReferenceOnShortReads: over sources that return a few
+// bytes per Read, and over sources that fail with their own error part
+// way, Reader matches the reference decoder at every cut tried: in the
+// header, in the first records, around a window refill and at the end.
+func TestDecodeMatchesReferenceOnShortReads(t *testing.T) {
+	raw, _ := encodeWorkload(t, "spec06_gcc", 5000)
+	if len(raw) < windowSize+100 {
+		t.Fatalf("trace of %d bytes does not span a window refill", len(raw))
+	}
+	boom := errors.New("source failed")
+	var cuts []int
+	for n := 0; n < 64; n++ {
+		cuts = append(cuts, n, windowSize-32+n, len(raw)-n)
+	}
+	for _, cut := range cuts {
+		for name, open := range map[string]func() io.Reader{
+			"one byte per read": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(raw[:cut])) },
+			"half per read":     func() io.Reader { return iotest.HalfReader(bytes.NewReader(raw[:cut])) },
+			"EOF with data":     func() io.Reader { return iotest.DataErrReader(bytes.NewReader(raw[:cut])) },
+			"failing source": func() io.Reader {
+				return io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(boom))
+			},
+		} {
+			matchReference(t, fmt.Sprintf("%s, cut at %d", name, cut), open)
 		}
 	}
 }
